@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, MmsparseError
 from .rng import make_rng
 from .solvers import Dictionary, SolverConfig, SparseCode, lasso_encode_batch
 
@@ -150,7 +150,7 @@ def dictionary_update_step(examples, codes, d: Dictionary) -> Dictionary:
     after = X - Y @ atoms.T
     err_after = float(np.sum(after * after))
     if err_after > err_before + 1e-9:
-        raise AssertionError(
+        raise MmsparseError(
             f"dictionary update increased reconstruction error: "
             f"{err_before} -> {err_after}"
         )

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Each error carries a short machine-parsable category used by the CLI to
-format its one-line failure output and pick an exit code.
+Each error carries a short machine-parsable category and an exit code, so
+that a caller can print a one-line failure and pick its process exit status.
 """
 
 

@@ -220,7 +220,7 @@ def gmm_supervector(
     g: GaussianMixture,
     vectors: Sequence,
     clip_id: str = "",
-    modality_tag: str = "audio",
+    modality_tag: str = "gmm",
     target_sparsity: Optional[float] = 0.1,
 ) -> PooledFeature:
     """Max-pool per-input posterior vectors into one clip descriptor.

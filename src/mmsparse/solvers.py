@@ -12,14 +12,31 @@ threshold sits at lam / 2 and the KKT conditions read
     active k:    |2 d_k^T (x - D y) - lam * sign(y_k)| <= tol
     inactive k:  |2 d_k^T (x - D y)| <= lam + tol
 
-The LASSO solver is cyclic coordinate descent in fixed ascending coordinate
-order; each coordinate update is an exact minimization, so the objective is
-non-increasing per update. Columns need not be unit norm (split dictionaries
-produced from a joint dictionary are not).
+Every l1 coder goes through one engine, lasso_encode_batch: lasso_encode
+is its one-row case, and dictionary learning and cross-modal coding call
+it too. The engine runs cyclic coordinate descent in fixed ascending
+coordinate order; each coordinate update is an exact minimization, so the
+objective is non-increasing per update. A row stops when its largest
+coordinate step in a sweep and then its KKT violation fall below tol.
+Columns need not be unit norm (split dictionaries produced from a joint
+dictionary are not).
+
+The engine has two sweeps of the same arithmetic and picks one by the row
+count it is given. Below _VECTOR_SWEEP_MIN_ROWS rows it sweeps one row at
+a time on Python floats; from there on it sweeps all unsettled rows at
+once in NumPy, which costs about a dozen array operations per coordinate
+whatever the row count. Timed on the trained dictionaries of the
+benchmark's `detect` set-up (32 atoms; audio 12-D, video 8-D, joint 20-D),
+256 rows in batches of m, one BLAS thread: at m = 1 the vector sweep was
+5-12x slower than the scalar one, at m = 128 it was 2-3x faster, and the
+two broke even between 24 and 48 rows (between 64 and 128 on a split
+audio block, whose rows take more sweeps). Streamed clips code 3-6 rows
+per call and cross-modal coding 1, so they take the scalar sweep; training
+codes 100-250 rows per call and takes the vector one.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,19 +49,20 @@ __all__ = [
     "lasso_encode",
     "lasso_encode_batch",
     "lasso_objective",
-    "lasso_sweep_trace",
     "omp_encode",
     "kkt_violation",
     "reconstruction_error",
 ]
 
 
-def _as_finite_vector(x, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
+def _as_finite(x, ndim: int, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
+    """The solver entry points' input check: a finite float64 array of
+    `ndim` dimensions whose last axis has length `dim` when one is given."""
     v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise InputError(f"{name} must be a 1-D vector, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise InputError(f"{name} has length {v.shape[0]}, expected {dim}")
+    if v.ndim != ndim:
+        raise InputError(f"{name} must be {ndim}-D, got shape {v.shape}")
+    if dim is not None and v.shape[-1] != dim:
+        raise InputError(f"{name} has dim {v.shape[-1]}, expected {dim}")
     if not np.all(np.isfinite(v)):
         raise InputError(f"{name} contains non-finite values")
     return v
@@ -153,184 +171,166 @@ class SolverConfig:
             raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-def _coeffs_of(y) -> np.ndarray:
-    if isinstance(y, SparseCode):
-        return y.coeffs
-    return _as_finite_vector(y, name="y")
+def _example_and_code(x, d: Dictionary, y) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate one example and one code (array or SparseCode) against d."""
+    coeffs = y.coeffs if isinstance(y, SparseCode) else _as_finite(y, 1, name="y")
+    if coeffs.shape[0] != d.atom_count:
+        raise InputError(
+            f"code length {coeffs.shape[0]} does not match atom count {d.atom_count}"
+        )
+    return _as_finite(x, 1, d.input_dim), coeffs
 
 
 def lasso_objective(x, d: Dictionary, y, lam: float) -> float:
     """Value of ||x - D y||^2 + lam * ||y||_1."""
-    coeffs = _coeffs_of(y)
-    x = _as_finite_vector(x, d.input_dim)
-    if coeffs.shape[0] != d.atom_count:
-        raise InputError(
-            f"code length {coeffs.shape[0]} does not match atom count {d.atom_count}"
-        )
+    x, coeffs = _example_and_code(x, d, y)
     r = x - d.atoms @ coeffs
     return float(r @ r + lam * np.sum(np.abs(coeffs)))
 
 
-def _kkt_from_corr(corr: np.ndarray, y: np.ndarray, lam: float) -> float:
-    """Max KKT violation given corr = 2 D^T (x - D y)."""
-    active = y != 0.0
-    viol_active = np.abs(corr[active] - lam * np.sign(y[active]))
-    viol_inactive = np.abs(corr[~active]) - lam
-    worst = 0.0
-    if viol_active.size:
-        worst = float(np.max(viol_active))
-    if viol_inactive.size:
-        worst = max(worst, float(np.max(viol_inactive)), 0.0)
-    return max(worst, 0.0)
+def _kkt(corr: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Max KKT violation of each column of y (codes, atoms along axis 0),
+    given corr = 2 D^T (x - D y) of the same shape; 1-D inputs give a scalar."""
+    viol = np.where(y != 0.0, np.abs(corr - lam * np.sign(y)), np.abs(corr) - lam)
+    return np.maximum(viol.max(axis=0), 0.0)
 
 
 def kkt_violation(x, d: Dictionary, y, lam: float) -> float:
     """Maximum violation of the LASSO optimality conditions; 0 iff optimal."""
-    coeffs = _coeffs_of(y)
-    x = _as_finite_vector(x, d.input_dim)
-    if coeffs.shape[0] != d.atom_count:
-        raise InputError(
-            f"code length {coeffs.shape[0]} does not match atom count {d.atom_count}"
-        )
+    x, coeffs = _example_and_code(x, d, y)
     corr = 2.0 * (d.atoms.T @ (x - d.atoms @ coeffs))
-    return _kkt_from_corr(corr, coeffs, lam)
+    return float(_kkt(corr, coeffs, lam))
 
 
 def reconstruction_error(x, d: Dictionary, y) -> float:
     """Squared Euclidean residual ||x - D y||^2."""
-    coeffs = _coeffs_of(y)
-    x = _as_finite_vector(x, d.input_dim)
-    if coeffs.shape[0] != d.atom_count:
-        raise InputError(
-            f"code length {coeffs.shape[0]} does not match atom count {d.atom_count}"
-        )
+    x, coeffs = _example_and_code(x, d, y)
     r = x - d.atoms @ coeffs
     return float(r @ r)
 
 
-def _cd_solve(
-    x: np.ndarray,
-    atoms: np.ndarray,
-    lam: float,
-    tol: float,
-    max_iter: int,
-    trace: Optional[list] = None,
-) -> Tuple[np.ndarray, bool]:
-    """Cyclic coordinate descent on one example. Returns (coeffs, converged)."""
-    n, k = atoms.shape
+# Row count at which lasso_encode_batch switches from sweeping one row at a
+# time to sweeping all unsettled rows at once (see the module docstring).
+_VECTOR_SWEEP_MIN_ROWS = 32
+
+
+def _converged(step, atoms: np.ndarray, R: np.ndarray, Y: np.ndarray,
+               lam: float, tol: float) -> np.ndarray:
+    """The engine's one stopping test, per column of the residuals R (n, m)
+    and codes Y (k, m): the sweep's largest coordinate step `step` (m,) is
+    below tol, and then so is the KKT violation."""
+    ok = step < tol
+    if ok.any():
+        ok[ok] = _kkt(2.0 * (atoms.T @ R[:, ok]), Y[:, ok], lam) < tol
+    return ok
+
+
+def _cd_scalar(X: np.ndarray, atoms: np.ndarray, lam: float, tol: float,
+               max_iter: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Cyclic coordinate descent, one row of X after another, on Python
+    floats (a row's code y is a list) to keep per-coordinate overhead low."""
+    m, k = X.shape[0], atoms.shape[1]
+    cols = list(np.ascontiguousarray(atoms.T))
+    sq_norms = np.einsum("nk,nk->k", atoms, atoms).tolist()
+    half_lam = 0.5 * lam
+    codes = np.zeros((m, k))
+    converged = np.zeros(m, dtype=bool)
+    for i in range(m):
+        y = [0.0] * k
+        r = X[i].copy()
+        for _ in range(max_iter):
+            max_delta = 0.0
+            for j in range(k):
+                g = sq_norms[j]
+                if g <= 0.0:
+                    continue
+                col = cols[j]
+                rho = float(col @ r) + g * y[j]
+                mag = abs(rho) - half_lam
+                new = (mag / g if rho > 0 else -mag / g) if mag > 0.0 else 0.0
+                delta = new - y[j]
+                if delta != 0.0:
+                    r -= delta * col
+                    y[j] = new
+                    if abs(delta) > max_delta:
+                        max_delta = abs(delta)
+            codes[i] = y
+            step = np.array([max_delta])
+            if _converged(step, atoms, r[:, None], codes[i][:, None], lam, tol)[0]:
+                converged[i] = True
+                break
+    return codes, converged
+
+
+def _cd_vector(X: np.ndarray, atoms: np.ndarray, lam: float, tol: float,
+               max_iter: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Cyclic coordinate descent on every unsettled row of X at once.
+
+    The unsettled rows' codes Y and residuals R are kept packed side by
+    side, one column per row; a row that passes the stopping test is
+    scattered out to `codes` and dropped from both."""
+    m, k = X.shape[0], atoms.shape[1]
     sq_norms = np.einsum("nk,nk->k", atoms, atoms)
     half_lam = 0.5 * lam
-    y = np.zeros(k)
-    r = x.copy()
+    codes = np.zeros((m, k))
+    converged = np.zeros(m, dtype=bool)
+    rows = np.arange(m)
+    Y = np.zeros((k, m))
+    R = np.array(X.T, order="C")  # a copy even when X.T is already contiguous
     for _ in range(max_iter):
-        max_delta = 0.0
+        max_delta = np.zeros(rows.size)
         for j in range(k):
             g = sq_norms[j]
             if g <= 0.0:
                 continue
             col = atoms[:, j]
-            rho = col @ r + g * y[j]
-            mag = abs(rho) - half_lam
-            new = (mag / g if rho > 0 else -mag / g) if mag > 0.0 else 0.0
-            delta = new - y[j]
-            if delta != 0.0:
-                r -= delta * col
-                y[j] = new
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
-        if trace is not None:
-            trace.append(float(r @ r + lam * np.sum(np.abs(y))))
-        if max_delta < tol:
-            corr = 2.0 * (atoms.T @ r)
-            if _kkt_from_corr(corr, y, lam) < tol:
-                return y, True
-    return y, False
-
-
-def lasso_encode(x, d: Dictionary, cfg: SolverConfig) -> SparseCode:
-    """Solve the l1 coding problem for one example.
-
-    Converges when both the largest coordinate change in a sweep and the
-    KKT violation fall below cfg.tol; otherwise returns the final iterate
-    with converged=False after cfg.max_iter sweeps.
-    """
-    x = _as_finite_vector(x, d.input_dim)
-    y, ok = _cd_solve(x, d.atoms, cfg.lam, cfg.tol, cfg.max_iter)
-    return SparseCode.from_coeffs(y, converged=ok)
-
-
-def lasso_sweep_trace(x, d: Dictionary, cfg: SolverConfig) -> list:
-    """Objective value after each coordinate-descent sweep (diagnostic)."""
-    x = _as_finite_vector(x, d.input_dim)
-    trace: list = []
-    _cd_solve(x, d.atoms, cfg.lam, cfg.tol, cfg.max_iter, trace=trace)
-    return trace
+            rho = col @ R + g * Y[j]
+            new = np.sign(rho) * np.maximum(np.abs(rho) - half_lam, 0.0) / g
+            delta = new - Y[j]
+            if np.any(delta):
+                R -= np.outer(col, delta)
+                Y[j] = new
+                np.maximum(max_delta, np.abs(delta), out=max_delta)
+        done = _converged(max_delta, atoms, R, Y, lam, tol)
+        if done.any():
+            codes[rows[done]] = Y[:, done].T
+            converged[rows[done]] = True
+            keep = ~done
+            rows, Y, R = rows[keep], Y[:, keep], np.ascontiguousarray(R[:, keep])
+            if rows.size == 0:
+                break
+    codes[rows] = Y.T
+    return codes, converged
 
 
 def lasso_encode_batch(
     xs: np.ndarray, d: Dictionary, cfg: SolverConfig
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Encode many examples (rows of xs) against one dictionary.
+    """Encode the rows of xs against one dictionary: the package's one
+    LASSO engine.
 
-    Runs the same cyclic coordinate descent as lasso_encode, vectorized
-    across examples; each example is frozen as soon as it individually
-    meets the convergence test. Returns (codes, converged) with codes of
-    shape (len(xs), atom_count).
+    Each row runs cyclic coordinate descent until its largest coordinate
+    step and then its KKT violation fall below cfg.tol, or for cfg.max_iter
+    sweeps. Below _VECTOR_SWEEP_MIN_ROWS rows, the rows are swept one at a
+    time in scalar code; at or above it, all unsettled rows are swept
+    together in NumPy and each leaves as soon as it passes the test. The
+    switch sits where the two sweeps broke even when timed (see the module
+    docstring); both give the same codes up to rounding. Returns
+    (codes, converged) with codes of shape (len(xs), atom_count); xs is
+    not modified.
     """
-    X = np.asarray(xs, dtype=np.float64)
-    if X.ndim != 2:
-        raise InputError(f"examples must be 2-D, got shape {X.shape}")
-    if X.shape[1] != d.input_dim:
-        raise InputError(
-            f"examples have dim {X.shape[1]}, dictionary expects {d.input_dim}"
-        )
-    if not np.all(np.isfinite(X)):
-        raise InputError("examples contain non-finite values")
+    X = _as_finite(xs, 2, d.input_dim, "examples")
+    sweep = _cd_scalar if X.shape[0] < _VECTOR_SWEEP_MIN_ROWS else _cd_vector
+    return sweep(X, d.atoms, cfg.lam, cfg.tol, cfg.max_iter)
 
-    m = X.shape[0]
-    k = d.atom_count
-    atoms = d.atoms
-    sq_norms = np.einsum("nk,nk->k", atoms, atoms)
-    half_lam = 0.5 * cfg.lam
 
-    codes = np.zeros((k, m))
-    converged = np.zeros(m, dtype=bool)
-    active = np.arange(m)
-    Y = np.zeros((k, m))
-    R = np.ascontiguousarray(X.T)  # residuals for active examples, (n, active)
-
-    for _ in range(cfg.max_iter):
-        if active.size == 0:
-            break
-        max_delta = np.zeros(active.size)
-        for j in range(k):
-            g = sq_norms[j]
-            if g <= 0.0:
-                continue
-            col = atoms[:, j]
-            rho = col @ R + g * Y[j, active]
-            new = np.sign(rho) * np.maximum(np.abs(rho) - half_lam, 0.0) / g
-            delta = new - Y[j, active]
-            nz = delta != 0.0
-            if np.any(nz):
-                R -= np.outer(col, delta)
-                Y[j, active] = new
-                np.maximum(max_delta, np.abs(delta), out=max_delta)
-        settled = max_delta < cfg.tol
-        if np.any(settled):
-            corr = 2.0 * (atoms.T @ R[:, settled])
-            ys = Y[:, active[settled]]
-            ok = np.zeros(corr.shape[1], dtype=bool)
-            for c in range(corr.shape[1]):
-                ok[c] = _kkt_from_corr(corr[:, c], ys[:, c], cfg.lam) < cfg.tol
-            done_local = np.flatnonzero(settled)[ok]
-            if done_local.size:
-                converged[active[done_local]] = True
-                keep = np.ones(active.size, dtype=bool)
-                keep[done_local] = False
-                active = active[keep]
-                R = np.ascontiguousarray(R[:, keep])
-    return Y.T, converged
+def lasso_encode(x, d: Dictionary, cfg: SolverConfig) -> SparseCode:
+    """Solve the l1 coding problem for one example: the one-row case of
+    lasso_encode_batch. An example whose solve stops at cfg.max_iter sweeps
+    returns its final iterate with converged=False."""
+    x = _as_finite(x, 1, d.input_dim)
+    codes, converged = lasso_encode_batch(x[None, :], d, cfg)
+    return SparseCode.from_coeffs(codes[0], converged=bool(converged[0]))
 
 
 def omp_encode(x, d: Dictionary, s: int) -> SparseCode:
@@ -342,7 +342,7 @@ def omp_encode(x, d: Dictionary, s: int) -> SparseCode:
     a newly selected atom makes the support rank-deficient (that atom is
     dropped and the result is flagged converged=False).
     """
-    x = _as_finite_vector(x, d.input_dim)
+    x = _as_finite(x, 1, d.input_dim)
     s = int(s)
     if s < 0:
         raise InputError(f"sparsity bound must be >= 0, got {s}")

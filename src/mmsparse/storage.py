@@ -58,9 +58,9 @@ def save_matrix(path, matrix) -> None:
         raise InputError(f"matrix files hold 2-D data, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InputError("matrix contains non-finite values")
-    payload = np.ascontiguousarray(arr, dtype=np.float32)
-    if not np.all(np.isfinite(payload)):
+    if np.any(np.abs(arr) > np.finfo(np.float32).max):
         raise InputError("matrix values overflow float32 storage")
+    payload = np.ascontiguousarray(arr, dtype=np.float32)
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, arr.shape[0], arr.shape[1], ELEMENT_F32)
     with open(path, "wb") as f:
         f.write(header)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmsparse.errors import InputError
+from mmsparse.features import PooledFeature
 from mmsparse.gmm import GaussianMixture, fit_gmm_em, gmm_supervector, posteriors
 
 
@@ -161,3 +162,8 @@ class TestGmmSupervector:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             gmm_supervector(self.make_mixture(), [])
+
+    def test_gmm_tag(self):
+        assert PooledFeature(np.zeros(2), clip_id="c", modality_tag="gmm").modality_tag == "gmm"
+        pf = gmm_supervector(self.make_mixture(), [np.array([1.0])])
+        assert pf.modality_tag == "gmm"

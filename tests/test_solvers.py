@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsparse.errors import InputError
 from mmsparse.solvers import (
     Dictionary,
     SolverConfig,
     SparseCode,
+    _VECTOR_SWEEP_MIN_ROWS,
     kkt_violation,
     lasso_encode,
     lasso_encode_batch,
     lasso_objective,
-    lasso_sweep_trace,
     omp_encode,
     reconstruction_error,
 )
@@ -130,7 +132,15 @@ class TestLassoEncode:
         for _ in range(10):
             d = unit_column_dictionary(rng, 6, 12)
             x = rng.standard_normal(6)
-            trace = lasso_sweep_trace(x, d, SolverConfig(lam=0.2))
+            # CD is deterministic: stopping after t = 1, 2, ..., 60 sweeps
+            # replays the first sweeps of one solve.
+            trace = []
+            for t in range(1, 61):
+                y = lasso_encode(x, d, SolverConfig(lam=0.2, max_iter=t))
+                trace.append(lasso_objective_ref(x, d.atoms, y.coeffs, 0.2))
+                if y.converged:
+                    break
+            assert len(trace) > 1
             diffs = np.diff(np.asarray(trace))
             assert np.all(diffs <= 1e-12)
 
@@ -168,13 +178,46 @@ class TestLassoBatch:
     def test_matches_single_encodes(self):
         rng = np.random.default_rng(31)
         d = unit_column_dictionary(rng, 6, 10)
-        xs = rng.standard_normal((7, 6))
         cfg = SolverConfig(lam=0.25)
+        # one batch on each side of the switch from scalar to vector sweeps
+        for m in (7, _VECTOR_SWEEP_MIN_ROWS + 3):
+            xs = rng.standard_normal((m, 6))
+            codes, ok = lasso_encode_batch(xs, d, cfg)
+            assert ok.all()
+            for i in range(m):
+                yi = lasso_encode(xs[i], d, cfg)
+                np.testing.assert_allclose(codes[i], yi.coeffs, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        n=st.integers(1, 10),
+        k=st.integers(1, 16),
+        lam=st.floats(0.05, 2.0),
+        normalized=st.booleans(),
+    )
+    def test_engine_properties(self, seed, m, n, k, lam, normalized):
+        # Both sweeps, over unit-norm and split-style (unnormalized) atoms:
+        # converged rows are optimal, every row is its own one-row solve,
+        # and the input is left as it was.
+        rng = np.random.default_rng(seed)
+        atoms = unit_column_dictionary(rng, n, k).atoms
+        if not normalized:
+            atoms = atoms * rng.uniform(0.2, 3.0, size=k)
+        d = Dictionary(atoms, normalized=normalized)
+        xs = rng.standard_normal((m, n)) * rng.uniform(0.5, 3.0)
+        before = xs.copy()
+        cfg = SolverConfig(lam=lam)
         codes, ok = lasso_encode_batch(xs, d, cfg)
-        assert ok.all()
-        for i in range(7):
+        np.testing.assert_array_equal(xs, before)
+        for i in range(m):
             yi = lasso_encode(xs[i], d, cfg)
-            np.testing.assert_allclose(codes[i], yi.coeffs, atol=1e-9)
+            np.testing.assert_allclose(codes[i], yi.coeffs, rtol=0, atol=1e-9)
+            assert yi.converged == ok[i]
+            assert yi.support == tuple(np.flatnonzero(yi.coeffs))
+            if ok[i]:
+                assert kkt_violation(xs[i], d, codes[i], lam) <= cfg.tol
 
     def test_batch_kkt(self):
         rng = np.random.default_rng(37)

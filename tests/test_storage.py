@@ -65,6 +65,7 @@ class TestMatrixFile:
         with pytest.raises(FormatError, match="non-finite"):
             load_matrix(p)
 
+    @pytest.mark.filterwarnings("error")
     def test_float32_overflow_rejected(self, tmp_path):
         with pytest.raises(InputError, match="overflow"):
             save_matrix(tmp_path / "big.scmx", np.array([[1e300]]))

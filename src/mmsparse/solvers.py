@@ -254,11 +254,12 @@ def _cd_scalar(X: np.ndarray, atoms: np.ndarray, lam: float, tol: float,
                     y[j] = new
                     if abs(delta) > max_delta:
                         max_delta = abs(delta)
-            codes[i] = y
-            step = np.array([max_delta])
-            if _converged(step, atoms, r[:, None], codes[i][:, None], lam, tol)[0]:
+            if max_delta < tol and _converged(
+                np.array([max_delta]), atoms, r[:, None], np.array(y)[:, None], lam, tol
+            )[0]:
                 converged[i] = True
                 break
+        codes[i] = y
     return codes, converged
 
 

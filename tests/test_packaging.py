@@ -7,8 +7,6 @@ import pathlib
 import pytest
 from setuptools import find_packages
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -17,6 +15,7 @@ def test_find_packages_sees_mmsparse():
 
 
 def test_script_targets_import():
+    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mmsparse.errors import InputError
 from mmsparse.solvers import (
@@ -132,10 +130,10 @@ class TestLassoEncode:
         for _ in range(10):
             d = unit_column_dictionary(rng, 6, 12)
             x = rng.standard_normal(6)
-            # CD is deterministic: stopping after t = 1, 2, ..., 60 sweeps
-            # replays the first sweeps of one solve.
+            # CD is deterministic: stopping after t = 1, 2, ..., T sweeps
+            # replays one solve sweep by sweep, to convergence or max_iter.
             trace = []
-            for t in range(1, 61):
+            for t in range(1, SolverConfig(lam=0.2).max_iter + 1):
                 y = lasso_encode(x, d, SolverConfig(lam=0.2, max_iter=t))
                 trace.append(lasso_objective_ref(x, d.atoms, y.coeffs, 0.2))
                 if y.converged:
@@ -187,37 +185,6 @@ class TestLassoBatch:
             for i in range(m):
                 yi = lasso_encode(xs[i], d, cfg)
                 np.testing.assert_allclose(codes[i], yi.coeffs, atol=1e-9)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        m=st.integers(1, 40),
-        n=st.integers(1, 10),
-        k=st.integers(1, 16),
-        lam=st.floats(0.05, 2.0),
-        normalized=st.booleans(),
-    )
-    def test_engine_properties(self, seed, m, n, k, lam, normalized):
-        # Both sweeps, over unit-norm and split-style (unnormalized) atoms:
-        # converged rows are optimal, every row is its own one-row solve,
-        # and the input is left as it was.
-        rng = np.random.default_rng(seed)
-        atoms = unit_column_dictionary(rng, n, k).atoms
-        if not normalized:
-            atoms = atoms * rng.uniform(0.2, 3.0, size=k)
-        d = Dictionary(atoms, normalized=normalized)
-        xs = rng.standard_normal((m, n)) * rng.uniform(0.5, 3.0)
-        before = xs.copy()
-        cfg = SolverConfig(lam=lam)
-        codes, ok = lasso_encode_batch(xs, d, cfg)
-        np.testing.assert_array_equal(xs, before)
-        for i in range(m):
-            yi = lasso_encode(xs[i], d, cfg)
-            np.testing.assert_allclose(codes[i], yi.coeffs, rtol=0, atol=1e-9)
-            assert yi.converged == ok[i]
-            assert yi.support == tuple(np.flatnonzero(yi.coeffs))
-            if ok[i]:
-                assert kkt_violation(xs[i], d, codes[i], lam) <= cfg.tol
 
     def test_batch_kkt(self):
         rng = np.random.default_rng(37)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _as_finite
 from .rng import make_rng
 
 __all__ = [
@@ -42,17 +42,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearSvm:
-    """Trained separating hyperplane for one event."""
+    """Trained separating hyperplane for one event.
+
+    `converged` is False when training stopped with the dual's
+    max-violating-pair gap still at or above its tolerance (step budget
+    exhausted, or no pair could move).
+    """
 
     weights: np.ndarray
     bias: float
     c: float
+    converged: bool = True
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1:
-            raise InputError(f"weights must be 1-D, got shape {w.shape}")
-        if not (np.all(np.isfinite(w)) and np.isfinite(self.bias)):
+        w = _as_finite(self.weights, 1, name="weights")
+        if not np.isfinite(self.bias):
             raise InputError("model parameters must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -84,15 +88,6 @@ class CvResult:
     reduced: bool
 
 
-def _validate_features(x) -> np.ndarray:
-    X = np.asarray(x, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise InputError(f"features must be a non-empty 2-D matrix, got {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise InputError("features contain non-finite values")
-    return X
-
-
 def _smo(
     gram: np.ndarray,
     y: np.ndarray,
@@ -101,9 +96,11 @@ def _smo(
     max_steps: int,
     epoch_len: int,
     trace: Optional[list],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Most-violating-pair dual coordinate optimization; returns
-    (alpha, dual gradient)."""
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Most-violating-pair dual coordinate optimization over at most
+    max_steps pair updates; returns (alpha, dual gradient, gap), where gap
+    is the max-violating-pair gap at the returned alpha (-inf when no pair
+    can move)."""
     n = y.shape[0]
     Q = gram * np.outer(y, y)
     alpha = np.zeros(n)
@@ -114,17 +111,20 @@ def _smo(
             trace.append(0.5 * float(alpha @ grad - alpha.sum()))
 
     pos = y > 0
-    for step in range(1, max_steps + 1):
+    gap = np.inf  # nothing measured yet
+    for step in range(max_steps + 1):
         mg = -y * grad
         up = np.where(pos, alpha < c, alpha > 0)
         low = np.where(pos, alpha > 0, alpha < c)
         if not up.any() or not low.any():
+            gap = -np.inf
             break
         mg_up = np.where(up, mg, -np.inf)
         mg_low = np.where(low, mg, np.inf)
         i = int(np.argmax(mg_up))
         j = int(np.argmin(mg_low))
-        if mg_up[i] - mg_low[j] < tol:
+        gap = float(mg_up[i] - mg_low[j])
+        if gap < tol or step == max_steps:
             break
         si, sj = y[i], y[j]
         quad = max(Q[i, i] + Q[j, j] - 2.0 * si * sj * Q[i, j], 1e-12)
@@ -138,10 +138,10 @@ def _smo(
         alpha[i] = min(max(alpha[i] + d_i, 0.0), c)
         alpha[j] = min(max(alpha[j] + d_j, 0.0), c)
         grad += Q[:, i] * d_i + Q[:, j] * d_j
-        if step % epoch_len == 0:
+        if (step + 1) % epoch_len == 0:
             record()
     record()
-    return alpha, grad
+    return alpha, grad, gap
 
 
 def _bias_from_dual(alpha, grad, y, c) -> float:
@@ -169,11 +169,14 @@ def train_svm(
     """Train one binary SVM on +/-1 labels.
 
     `trace`, when given a list, collects the dual objective at each epoch
-    (n pair updates); the sequence is non-increasing. The result is the
-    exact optimizer of the hinge objective up to `tol` in the KKT gap,
-    independent of `seed`.
+    (n pair updates); the sequence is non-increasing. The SMO runs at most
+    `max_steps` pair updates (default max(200 n, 20000)). When the
+    returned model has converged=True it is the optimizer of the hinge
+    objective up to `tol` in the dual's max-violating-pair gap; with
+    converged=False the gap was still >= `tol` when SMO stopped, and the
+    model is its last iterate. The result does not depend on `seed`.
     """
-    X = _validate_features(x)
+    X = _as_finite(x, 2, name="features", nonempty=1)
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != (X.shape[0],):
         raise InputError(f"labels shape {y.shape} does not match {X.shape[0]} rows")
@@ -187,15 +190,15 @@ def train_svm(
     gram = X @ X.T
     n = X.shape[0]
     budget = max_steps if max_steps is not None else max(200 * n, 20000)
-    alpha, grad = _smo(gram, y, c, tol, budget, epoch_len=n, trace=trace)
+    alpha, grad, gap = _smo(gram, y, c, tol, budget, epoch_len=n, trace=trace)
     w = X.T @ (alpha * y)
     b = _bias_from_dual(alpha, grad, y, c)
-    return LinearSvm(weights=w, bias=b, c=c)
+    return LinearSvm(weights=w, bias=b, c=c, converged=gap < tol)
 
 
 def svm_objective(m: LinearSvm, x, labels) -> float:
     """Primal hinge objective of a model on a labeled set."""
-    X = _validate_features(x)
+    X = _as_finite(x, 2, name="features", nonempty=1)
     y = np.asarray(labels, dtype=np.float64)
     margins = y * (X @ m.weights + m.bias)
     return float(0.5 * m.weights @ m.weights + m.c * np.sum(np.maximum(0.0, 1.0 - margins)))
@@ -203,9 +206,7 @@ def svm_objective(m: LinearSvm, x, labels) -> float:
 
 def decision_score(m: LinearSvm, x) -> float:
     """w^T x + b; the sign is the predicted label."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape != m.weights.shape:
-        raise InputError(f"input shape {v.shape} does not match weights {m.weights.shape}")
+    v = _as_finite(x, 1, m.weights.shape[0])
     return float(m.weights @ v + m.bias)
 
 
@@ -229,7 +230,7 @@ def train_event_models(
 ) -> EventModel:
     """1-vs-all training: one binary SVM per distinct event label, with
     every other label (including any background label) as negatives."""
-    X = _validate_features(x)
+    X = _as_finite(x, 2, name="features", nonempty=1)
     labels = [str(v) for v in event_labels]
     if len(labels) != X.shape[0]:
         raise InputError("one label per feature row required")
@@ -281,7 +282,7 @@ def cross_validate(
 ) -> CvResult:
     """Pick c from a grid by mean validation accuracy over stratified
     folds; ties prefer the smaller c."""
-    X = _validate_features(x)
+    X = _as_finite(x, 2, name="features", nonempty=1)
     grid = [float(c) for c in c_grid]
     if not grid:
         raise InputError("c grid must not be empty")

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import InputError, MmsparseError
+from .errors import InputError, MmsparseError, _as_finite
 from .rng import make_rng
 from .solvers import Dictionary, SolverConfig, SparseCode, lasso_encode_batch
 
@@ -70,20 +70,10 @@ class TrainStats:
     converged: bool = False
 
 
-def _as_examples(examples) -> np.ndarray:
-    X = np.asarray(examples, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise InputError(f"examples must be a non-empty 2-D matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise InputError("examples contain non-finite values")
-    return X
-
-
 def _as_codes(codes, m: int, k: int) -> np.ndarray:
-    if isinstance(codes, np.ndarray):
-        Y = np.asarray(codes, dtype=np.float64)
-    else:
-        Y = np.stack([c.coeffs if isinstance(c, SparseCode) else np.asarray(c, dtype=np.float64) for c in codes])
+    if not isinstance(codes, np.ndarray):
+        codes = np.stack([c.coeffs if isinstance(c, SparseCode) else c for c in codes])
+    Y = _as_finite(codes, 2, name="codes")
     if Y.shape != (m, k):
         raise InputError(f"codes have shape {Y.shape}, expected ({m}, {k})")
     return Y
@@ -91,7 +81,7 @@ def _as_codes(codes, m: int, k: int) -> np.ndarray:
 
 def coding_objective(examples, d: Dictionary, codes, lam: float) -> float:
     """Batch objective sum_i ||x_i - D y_i||^2 + lam ||y_i||_1."""
-    X = _as_examples(examples)
+    X = _as_finite(examples, 2, name="examples", nonempty=2)
     Y = _as_codes(codes, X.shape[0], d.atom_count)
     R = X - Y @ d.atoms.T
     return float(np.sum(R * R) + lam * np.sum(np.abs(Y)))
@@ -103,7 +93,7 @@ def init_dictionary(examples, k: int, seed: int) -> Dictionary:
     Rows are drawn without replacement when enough nonzero rows exist,
     with replacement otherwise; all-zero rows are never selected.
     """
-    X = _as_examples(examples)
+    X = _as_finite(examples, 2, name="examples", nonempty=2)
     if k < 1:
         raise InputError(f"atom count must be >= 1, got {k}")
     norms = np.linalg.norm(X, axis=1)
@@ -124,11 +114,7 @@ def dictionary_update_step(examples, codes, d: Dictionary) -> Dictionary:
     reconstruction error after the pass is checked to be no larger than
     before it (1e-9 slack).
     """
-    X = _as_examples(examples)
-    if X.shape[1] != d.input_dim:
-        raise InputError(
-            f"examples have dim {X.shape[1]}, dictionary expects {d.input_dim}"
-        )
+    X = _as_finite(examples, 2, d.input_dim, "examples", nonempty=2)
     Y = _as_codes(codes, X.shape[0], d.atom_count)
 
     A = Y.T @ Y
@@ -173,7 +159,7 @@ def replace_dead_atoms(
     example comes from `codes` when given, otherwise from the best
     single-atom least-squares fit.
     """
-    X = _as_examples(examples)
+    X = _as_finite(examples, 2, name="examples", nonempty=2)
     usage = np.asarray(usage)
     if usage.shape != (d.atom_count,):
         raise InputError(
@@ -219,7 +205,7 @@ def learn_dictionary(examples, cfg: LearnConfig) -> Tuple[Dictionary, TrainStats
     update with that epoch's codes; with the default dead-usage threshold
     of zero, dead-atom recycling cannot change it.
     """
-    X = _as_examples(examples)
+    X = _as_finite(examples, 2, name="examples", nonempty=2)
     d = init_dictionary(X, cfg.atom_count, cfg.seed)
     scfg = SolverConfig(lam=cfg.lam, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     stats = TrainStats()

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _as_finite
 
 __all__ = [
     "WhiteningTransform",
@@ -78,11 +78,7 @@ class PooledFeature:
     modality_tag: str
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise InputError(f"pooled values must be 1-D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise InputError("pooled values contain non-finite entries")
+        values = _as_finite(self.values, 1, name="pooled values")
         if self.modality_tag not in MODALITY_TAGS:
             raise InputError(
                 f"unknown modality tag {self.modality_tag!r}; expected one of {MODALITY_TAGS}"
@@ -93,14 +89,10 @@ class PooledFeature:
 
 def fit_whitening(x, d: int, eps: float = 1e-5) -> WhiteningTransform:
     """Fit a whitening transform on the rows of x, keeping d directions."""
-    X = np.asarray(x, dtype=np.float64)
-    if X.ndim != 2:
-        raise InputError(f"training data must be 2-D, got shape {X.shape}")
+    X = _as_finite(x, 2, name="training data")
     m, n = X.shape
     if m < 2:
         raise InputError(f"whitening needs at least 2 rows, got {m}")
-    if not np.all(np.isfinite(X)):
-        raise InputError("training data contains non-finite values")
     if not 1 <= d <= min(m - 1, n):
         raise InputError(
             f"out_dim {d} must lie in [1, min(rows-1, cols)] = "
@@ -134,28 +126,15 @@ def fit_whitening(x, d: int, eps: float = 1e-5) -> WhiteningTransform:
 
 def apply_whitening(w: WhiteningTransform, x) -> np.ndarray:
     """Whiten a vector or the rows of a matrix: scales * basis^T (x - mean)."""
-    X = np.asarray(x, dtype=np.float64)
-    if X.ndim == 1:
-        if X.shape[0] != w.input_dim:
-            raise InputError(f"vector has dim {X.shape[0]}, expected {w.input_dim}")
-        return w.scales * (w.basis.T @ (X - w.mean))
-    if X.ndim == 2:
-        if X.shape[1] != w.input_dim:
-            raise InputError(f"rows have dim {X.shape[1]}, expected {w.input_dim}")
-        return ((X - w.mean) @ w.basis) * w.scales
-    raise InputError(f"expected a vector or matrix, got shape {X.shape}")
+    X = _as_finite(x, 2 if np.ndim(x) == 2 else 1, w.input_dim)
+    return ((X - w.mean) @ w.basis) * w.scales
 
 
 def max_pool(codes: Sequence) -> np.ndarray:
     """Elementwise maximum over a non-empty list of equal-length vectors."""
     if len(codes) == 0:
         raise InputError("max_pool requires at least one code")
-    stacked = np.asarray([np.asarray(c, dtype=np.float64) for c in codes])
-    if stacked.ndim != 2:
-        raise InputError("codes must all be 1-D vectors of equal length")
-    if not np.all(np.isfinite(stacked)):
-        raise InputError("codes contain non-finite values")
-    return stacked.max(axis=0)
+    return _as_finite(codes, 2, name="codes").max(axis=0)
 
 
 def pool_clip(

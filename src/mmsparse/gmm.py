@@ -7,8 +7,14 @@ The E-step works entirely in the log domain:
     r_m(x) = softmax_m( log w_m + log p(x | m) )
 
 so responsibilities are stable under any common shift of the component
-log densities. The M-step is the standard weighted update with every
-variance floored at a fixed fraction of the average feature variance.
+log densities. The Mahalanobis sum is expanded into matrix products,
+
+    sum_j (x_j - mu_mj)^2 / v_mj
+        = (x*x) . (1/v_m) - 2 x . (mu_m/v_m) + sum_j mu_mj^2 / v_mj,
+
+so scoring a batch takes memory proportional to rows * components, not
+rows * components * dim. The M-step is the standard weighted update with
+every variance floored at a fixed fraction of the average feature variance.
 Components that lose all responsibility mass are re-seeded from the
 point the current mixture models worst.
 """
@@ -19,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _as_finite
 from .features import PooledFeature
 from .rng import make_rng
 
@@ -85,8 +91,8 @@ class EmStats:
 def _log_densities(weights, means, variances, X) -> np.ndarray:
     """(rows, components) matrix of log w_m + log N(x | mu_m, v_m)."""
     log_det = np.sum(np.log(variances), axis=1)
-    diff = X[:, None, :] - means[None, :, :]
-    maha = np.sum(diff * diff / variances[None, :, :], axis=2)
+    inv = 1.0 / variances
+    maha = (X * X) @ inv.T - 2.0 * (X @ (means * inv).T) + np.sum(means * means * inv, axis=1)
     d = means.shape[1]
     return np.log(weights)[None, :] - 0.5 * (
         d * math.log(2.0 * math.pi) + log_det[None, :] + maha
@@ -128,16 +134,12 @@ def fit_gmm_em(
     sample variance. Stops when the relative log-likelihood change drops
     below tol. Returns the mixture and per-iteration diagnostics.
     """
-    X = np.asarray(x, dtype=np.float64)
-    if X.ndim != 2:
-        raise InputError(f"training data must be 2-D, got shape {X.shape}")
+    X = _as_finite(x, 2, name="training data")
     n, d = X.shape
     if m < 1:
         raise InputError(f"component count must be >= 1, got {m}")
     if n < m:
         raise InputError(f"need at least {m} rows to fit {m} components, got {n}")
-    if not np.all(np.isfinite(X)):
-        raise InputError("training data contains non-finite values")
 
     global_var = np.var(X, axis=0)
     floor = max(float(floor_fraction * np.mean(global_var)), 1e-12)
@@ -191,29 +193,25 @@ def fit_gmm_em(
 
 
 def posteriors(g: GaussianMixture, x) -> np.ndarray:
-    """Component responsibilities for one vector; nonnegative, sums to 1."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != g.dim:
-        raise InputError(f"input has shape {v.shape}, expected ({g.dim},)")
-    if not np.all(np.isfinite(v)):
-        raise InputError("input contains non-finite values")
-    log_joint = _log_densities(g.weights, g.means, g.variances, v[None, :])[0]
-    log_joint -= log_joint.max()
-    p = np.exp(log_joint)
-    return p / p.sum()
+    """Component responsibilities for one vector; nonnegative, sums to 1.
+    The one-row case of gmm_supervector without truncation."""
+    x = _as_finite(x, 1, g.dim)
+    return np.array(gmm_supervector(g, x[None, :], target_sparsity=None).values)
 
 
-def _truncate_posterior(p: np.ndarray, target_sparsity: float) -> np.ndarray:
-    """Keep the top ceil(target_sparsity * M) entries and renormalize."""
-    m = p.shape[0]
+def _truncate_posterior(P: np.ndarray, target_sparsity: float) -> np.ndarray:
+    """Keep the top ceil(target_sparsity * M) entries of each row (ties to
+    the lower component) and renormalize. Each row of P is a posterior, so
+    its largest entry, which is always kept, is positive."""
+    m = P.shape[1]
     keep = max(1, math.ceil(target_sparsity * m))
     if keep >= m:
-        return p
-    order = np.argsort(-p, kind="stable")
-    out = np.zeros_like(p)
-    out[order[:keep]] = p[order[:keep]]
-    total = out.sum()
-    return out / total if total > 0 else out
+        return P
+    top = np.argsort(-P, axis=1, kind="stable")[:, :keep]
+    rows = np.arange(P.shape[0])[:, None]
+    out = np.zeros_like(P)
+    out[rows, top] = P[rows, top]
+    return out / out.sum(axis=1, keepdims=True)
 
 
 def gmm_supervector(
@@ -227,15 +225,17 @@ def gmm_supervector(
 
     Each input's posterior vector is optionally sparsified to its top
     ceil(target_sparsity * M) components (renormalized) before pooling;
-    pass target_sparsity=None to pool the full posteriors.
+    pass target_sparsity=None to pool the full posteriors. The posteriors
+    of all inputs come from one batched density evaluation.
     """
     vectors = list(vectors)
-    if not vectors:
-        raise InputError("gmm_supervector requires at least one input vector")
-    pooled = None
-    for v in vectors:
-        p = posteriors(g, v)
-        if target_sparsity is not None:
-            p = _truncate_posterior(p, target_sparsity)
-        pooled = p if pooled is None else np.maximum(pooled, p)
-    return PooledFeature(values=pooled, clip_id=clip_id, modality_tag=modality_tag)
+    if len({np.shape(v) for v in vectors}) > 1:
+        raise InputError("input vectors differ in shape")
+    X = _as_finite(vectors, 2, g.dim, "input vectors", nonempty=1)
+    log_joint = _log_densities(g.weights, g.means, g.variances, X)
+    log_joint -= log_joint.max(axis=1, keepdims=True)
+    P = np.exp(log_joint)
+    P /= P.sum(axis=1, keepdims=True)
+    if target_sparsity is not None:
+        P = _truncate_posterior(P, target_sparsity)
+    return PooledFeature(values=P.max(axis=0), clip_id=clip_id, modality_tag=modality_tag)

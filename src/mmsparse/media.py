@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from scipy.fft import dct
 
-from .errors import InputError
+from .errors import InputError, _as_finite
 
 __all__ = [
     "FrameHistogram",
@@ -47,11 +47,9 @@ class FrameHistogram:
     timestamp_s: float
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.float64)
-        if counts.ndim != 1 or counts.size < 1:
-            raise InputError(f"histogram counts must be a 1-D vector, got {counts.shape}")
-        if not np.all(np.isfinite(counts)) or np.any(counts < 0):
-            raise InputError("histogram counts must be finite and nonnegative")
+        counts = _as_finite(self.counts, 1, name="histogram counts", nonempty=1)
+        if np.any(counts < 0):
+            raise InputError("histogram counts must be nonnegative")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
@@ -65,11 +63,7 @@ class AudioClip:
     channels: int = 1
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise InputError(f"samples must be 1-D, got shape {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise InputError("samples contain non-finite values")
+        samples = _as_finite(self.samples, 1, name="samples")
         if self.sample_rate_hz <= 0:
             raise InputError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
         if self.channels != 1:
@@ -278,9 +272,7 @@ def delta_coefficients(seq, window: int = 2) -> np.ndarray:
 
         delta_t = sum_{n=1..window} n (c_{t+n} - c_{t-n}) / (2 sum n^2)
     """
-    X = np.asarray(seq, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise InputError(f"delta input must have >= 1 row, got shape {X.shape}")
+    X = _as_finite(seq, 2, name="delta input", nonempty=1)
     if window < 1:
         raise InputError(f"window must be >= 1, got {window}")
     t = X.shape[0]

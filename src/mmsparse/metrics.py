@@ -11,7 +11,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _as_finite
 
 __all__ = [
     "RankedList",
@@ -31,15 +31,11 @@ class RankedList:
     clip_ids: tuple
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
+        scores = _as_finite(self.scores, 1, name="scores", nonempty=1)
         relevance = np.asarray(self.relevance, dtype=np.int64)
         ids = tuple(str(c) for c in self.clip_ids)
-        if scores.ndim != 1 or scores.size < 1:
-            raise InputError("scores must be a non-empty 1-D vector")
         if relevance.shape != scores.shape or len(ids) != scores.size:
             raise InputError("scores, relevance, and clip ids must align")
-        if not np.all(np.isfinite(scores)):
-            raise InputError("scores contain non-finite values")
         if not np.all((relevance == 0) | (relevance == 1)):
             raise InputError("relevance must be binary")
         scores.setflags(write=False)
@@ -51,17 +47,12 @@ class RankedList:
 
 def average_precision(r: RankedList) -> float:
     """Non-interpolated AP of one ranked list, in [0, 1]."""
-    order = sorted(range(r.scores.size), key=lambda i: (-r.scores[i], r.clip_ids[i]))
     total_relevant = int(r.relevance.sum())
     if total_relevant == 0:
         return 0.0
-    hits = 0
-    ap = 0.0
-    for rank, i in enumerate(order, start=1):
-        if r.relevance[i]:
-            hits += 1
-            ap += hits / rank
-    return ap / total_relevant
+    relevant = r.relevance[np.lexsort((np.asarray(r.clip_ids), -r.scores))] == 1
+    ranks = np.flatnonzero(relevant) + 1
+    return float(np.sum(np.arange(1, total_relevant + 1) / ranks) / total_relevant)
 
 
 def mean_average_precision(ranked_lists: Sequence[RankedList]) -> float:

@@ -28,7 +28,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .dictlearn import LearnConfig, TrainStats, learn_dictionary
-from .errors import InputError
+from .errors import InputError, _as_finite
 from .solvers import Dictionary, SolverConfig, SparseCode, lasso_encode
 
 __all__ = [
@@ -78,59 +78,42 @@ class JointDictionary:
         return ModalityPair(na, nv)
 
 
-def _finite_vector(x, name) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise InputError(f"{name} must be a non-empty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise InputError(f"{name} contains non-finite values")
-    return v
-
-
 def fuse_input(x_a, x_v) -> np.ndarray:
-    """Concatenate one audio and one video vector with 1/sqrt(N) scaling."""
-    a = _finite_vector(x_a, "x_a")
-    v = _finite_vector(x_v, "x_v")
-    return np.concatenate([a / math.sqrt(a.size), v / math.sqrt(v.size)])
+    """Concatenate one audio and one video vector with 1/sqrt(N) scaling:
+    the one-row case of fuse_rows."""
+    a = _as_finite(x_a, 1, name="x_a", nonempty=1)
+    v = _as_finite(x_v, 1, name="x_v", nonempty=1)
+    return fuse_rows(a[None, :], v[None, :])[0]
 
 
 def fuse_rows(audio: np.ndarray, video: np.ndarray) -> np.ndarray:
     """Row-wise fuse_input for matching feature matrices."""
-    A = np.asarray(audio, dtype=np.float64)
-    V = np.asarray(video, dtype=np.float64)
-    if A.ndim != 2 or V.ndim != 2 or A.shape[0] != V.shape[0]:
+    A = _as_finite(audio, 2, name="audio")
+    V = _as_finite(video, 2, name="video")
+    if A.shape[0] != V.shape[0]:
         raise InputError(
             f"audio and video matrices must share row counts, got {A.shape} and {V.shape}"
         )
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(V))):
-        raise InputError("fused inputs contain non-finite values")
     return np.hstack([A / math.sqrt(A.shape[1]), V / math.sqrt(V.shape[1])])
 
 
 def learn_joint(pairs, cfg: LearnConfig) -> Tuple[JointDictionary, TrainStats]:
-    """Learn a joint dictionary from (x_a, x_v) pairs by fusing each pair
-    and delegating to the standard alternating learner. cfg.lam is the
+    """Learn a joint dictionary from (x_a, x_v) pairs by fusing them and
+    delegating to the standard alternating learner. cfg.lam is the
     fused-space l1 weight."""
     pairs = list(pairs)
     if not pairs:
         raise InputError("learn_joint requires at least one (x_a, x_v) pair")
-    a0 = _finite_vector(pairs[0][0], "x_a")
-    v0 = _finite_vector(pairs[0][1], "x_v")
-    audio = np.empty((len(pairs), a0.size))
-    video = np.empty((len(pairs), v0.size))
+    first = (np.shape(pairs[0][0]), np.shape(pairs[0][1]))
     for i, (xa, xv) in enumerate(pairs):
-        xa = _finite_vector(xa, "x_a")
-        xv = _finite_vector(xv, "x_v")
-        if xa.size != a0.size or xv.size != v0.size:
+        if (np.shape(xa), np.shape(xv)) != first:
             raise InputError(
-                f"pair {i} has dims ({xa.size}, {xv.size}), expected "
-                f"({a0.size}, {v0.size})"
+                f"pair {i} has shapes ({np.shape(xa)}, {np.shape(xv)}), expected {first}"
             )
-        audio[i] = xa
-        video[i] = xv
-    fused = fuse_rows(audio, video)
+    fused = fuse_rows([xa for xa, _ in pairs], [xv for _, xv in pairs])
+    dims = ModalityPair(np.size(pairs[0][0]), np.size(pairs[0][1]))
     d, stats = learn_dictionary(fused, cfg)
-    joint = Dictionary(d.atoms, modality_dims=(a0.size, v0.size))
+    joint = Dictionary(d.atoms, modality_dims=(dims.audio_dim, dims.video_dim))
     return JointDictionary(inner=joint, lambda_joint=cfg.lam), stats
 
 
@@ -172,10 +155,6 @@ def lambda_joint_of(lambda2: float, dims: ModalityPair) -> float:
 
 def union_features(y_a, y_v) -> np.ndarray:
     """Concatenate two per-modality feature vectors, audio first."""
-    a = np.asarray(y_a, dtype=np.float64)
-    v = np.asarray(y_v, dtype=np.float64)
-    if a.ndim != 1 or v.ndim != 1:
-        raise InputError("union_features expects 1-D vectors")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(v))):
-        raise InputError("union inputs contain non-finite values")
+    a = _as_finite(y_a, 1, name="y_a")
+    v = _as_finite(y_v, 1, name="y_v")
     return np.concatenate([a, v])

@@ -40,7 +40,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _as_finite
 
 __all__ = [
     "Dictionary",
@@ -53,19 +53,6 @@ __all__ = [
     "kkt_violation",
     "reconstruction_error",
 ]
-
-
-def _as_finite(x, ndim: int, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
-    """The solver entry points' input check: a finite float64 array of
-    `ndim` dimensions whose last axis has length `dim` when one is given."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != ndim:
-        raise InputError(f"{name} must be {ndim}-D, got shape {v.shape}")
-    if dim is not None and v.shape[-1] != dim:
-        raise InputError(f"{name} has dim {v.shape[-1]}, expected {dim}")
-    if not np.all(np.isfinite(v)):
-        raise InputError(f"{name} contains non-finite values")
-    return v
 
 
 @dataclass(frozen=True)
@@ -83,14 +70,7 @@ class Dictionary:
     normalized: bool = True
 
     def __post_init__(self):
-        atoms = np.ascontiguousarray(np.asarray(self.atoms, dtype=np.float64))
-        if atoms.ndim != 2:
-            raise InputError(f"atoms must be 2-D, got shape {atoms.shape}")
-        n, k = atoms.shape
-        if n < 1 or k < 1:
-            raise InputError(f"dictionary must be at least 1x1, got {n}x{k}")
-        if not np.all(np.isfinite(atoms)):
-            raise InputError("dictionary contains non-finite values")
+        atoms = np.ascontiguousarray(_as_finite(self.atoms, 2, name="atoms", nonempty=2))
         if self.normalized:
             norms = np.linalg.norm(atoms, axis=0)
             worst = float(np.max(np.abs(norms - 1.0)))
@@ -100,9 +80,10 @@ class Dictionary:
                 )
         if self.modality_dims is not None:
             na, nv = self.modality_dims
-            if na < 1 or nv < 1 or na + nv != n:
+            if na < 1 or nv < 1 or na + nv != atoms.shape[0]:
                 raise InputError(
-                    f"modality_dims {self.modality_dims} do not sum to input dim {n}"
+                    f"modality_dims {self.modality_dims} do not sum to input dim "
+                    f"{atoms.shape[0]}"
                 )
             object.__setattr__(self, "modality_dims", (int(na), int(nv)))
         atoms.setflags(write=False)
@@ -131,11 +112,7 @@ class SparseCode:
     converged: bool = True
 
     def __post_init__(self):
-        coeffs = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.float64))
-        if coeffs.ndim != 1:
-            raise InputError(f"coeffs must be 1-D, got shape {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs)):
-            raise InputError("coeffs contain non-finite values")
+        coeffs = _as_finite(np.ascontiguousarray(self.coeffs), 1, name="coeffs")
         actual = tuple(int(i) for i in np.flatnonzero(coeffs))
         if tuple(self.support) != actual:
             raise InputError("support does not match nonzero coefficients")

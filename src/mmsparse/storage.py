@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, _as_finite
 
 __all__ = [
     "MAGIC",
@@ -53,11 +53,7 @@ _HEADER = struct.Struct("<4sIQQI")
 def save_matrix(path, matrix) -> None:
     """Write a 2-D array as a float32 matrix file (values must be finite
     and representable; float64 inputs are cast)."""
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InputError(f"matrix files hold 2-D data, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("matrix contains non-finite values")
+    arr = _as_finite(matrix, 2, name="matrix")
     if np.any(np.abs(arr) > np.finfo(np.float32).max):
         raise InputError("matrix values overflow float32 storage")
     payload = np.ascontiguousarray(arr, dtype=np.float32)

@@ -45,6 +45,7 @@ class TestTrainSvm:
                     best = (j, w, b)
         assert svm_objective(m, X, y) <= best[0] + 1e-9
         assert abs(m.bias) <= 1e-9
+        assert m.converged
         assert np.sign(decision_score(m, X[0])) == 1.0
         assert np.sign(decision_score(m, X[1])) == -1.0
 
@@ -89,6 +90,11 @@ class TestTrainSvm:
         train_svm(X, y, c=50.0, trace=trace)
         diffs = np.diff(np.asarray(trace))
         assert np.all(diffs <= 1e-9)
+
+    def test_exhausted_step_budget_reported(self):
+        rng = np.random.default_rng(5)
+        X, y = blobs(rng, sep=0.5)
+        assert not train_svm(X, y, c=100.0, max_steps=5).converged
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)

@@ -5,7 +5,13 @@ import pytest
 
 from mmsparse.errors import InputError
 from mmsparse.features import PooledFeature
-from mmsparse.gmm import GaussianMixture, fit_gmm_em, gmm_supervector, posteriors
+from mmsparse.gmm import (
+    GaussianMixture,
+    _log_densities,
+    fit_gmm_em,
+    gmm_supervector,
+    posteriors,
+)
 
 
 def two_cluster_data(rng, n_per=150, sep=10.0, dim=3):
@@ -62,6 +68,22 @@ class TestFitGmmEm:
     def test_too_few_rows(self):
         with pytest.raises(InputError):
             fit_gmm_em(np.zeros((2, 3)), m=5)
+
+    def test_log_densities_match_broadcast_form(self):
+        # the expanded Mahalanobis sum against the direct rows x components
+        # x dim evaluation, with some variances at a small floor
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((50, 6)) * 3.0
+        means = X[rng.choice(50, size=8, replace=False)] + 0.01 * rng.standard_normal((8, 6))
+        variances = np.maximum(rng.random((8, 6)) * 2.0 - 0.5, 1e-4)
+        weights = np.full(8, 1.0 / 8)
+        diff = X[:, None, :] - means[None, :, :]
+        maha = np.sum(diff * diff / variances[None, :, :], axis=2)
+        ref = np.log(weights) - 0.5 * (
+            6 * np.log(2.0 * np.pi) + np.sum(np.log(variances), axis=1) + maha
+        )
+        got = _log_densities(weights, means, variances, X)
+        np.testing.assert_allclose(got, ref, rtol=1e-10)
 
 
 class TestPosteriors:

@@ -94,8 +94,6 @@ def _smo(
     c: float,
     tol: float,
     max_steps: int,
-    epoch_len: int,
-    trace: Optional[list],
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Most-violating-pair dual coordinate optimization over at most
     max_steps pair updates; returns (alpha, dual gradient, gap), where gap
@@ -105,11 +103,6 @@ def _smo(
     Q = gram * np.outer(y, y)
     alpha = np.zeros(n)
     grad = -np.ones(n)  # Q @ alpha - 1
-
-    def record():
-        if trace is not None:
-            trace.append(0.5 * float(alpha @ grad - alpha.sum()))
-
     pos = y > 0
     gap = np.inf  # nothing measured yet
     for step in range(max_steps + 1):
@@ -138,9 +131,6 @@ def _smo(
         alpha[i] = min(max(alpha[i] + d_i, 0.0), c)
         alpha[j] = min(max(alpha[j] + d_j, 0.0), c)
         grad += Q[:, i] * d_i + Q[:, j] * d_j
-        if (step + 1) % epoch_len == 0:
-            record()
-    record()
     return alpha, grad, gap
 
 
@@ -164,17 +154,15 @@ def train_svm(
     seed: int = 0,
     tol: float = 1e-9,
     max_steps: Optional[int] = None,
-    trace: Optional[list] = None,
 ) -> LinearSvm:
     """Train one binary SVM on +/-1 labels.
 
-    `trace`, when given a list, collects the dual objective at each epoch
-    (n pair updates); the sequence is non-increasing. The SMO runs at most
-    `max_steps` pair updates (default max(200 n, 20000)). When the
-    returned model has converged=True it is the optimizer of the hinge
-    objective up to `tol` in the dual's max-violating-pair gap; with
-    converged=False the gap was still >= `tol` when SMO stopped, and the
-    model is its last iterate. The result does not depend on `seed`.
+    The SMO runs at most `max_steps` pair updates (default
+    max(200 n, 20000)). When the returned model has converged=True it is
+    the optimizer of the hinge objective up to `tol` in the dual's
+    max-violating-pair gap; with converged=False the gap was still >= `tol`
+    when SMO stopped, and the model is its last iterate. The result does
+    not depend on `seed`.
     """
     X = _as_finite(x, 2, name="features", nonempty=1)
     y = np.asarray(labels, dtype=np.float64)
@@ -190,7 +178,7 @@ def train_svm(
     gram = X @ X.T
     n = X.shape[0]
     budget = max_steps if max_steps is not None else max(200 * n, 20000)
-    alpha, grad, gap = _smo(gram, y, c, tol, budget, epoch_len=n, trace=trace)
+    alpha, grad, gap = _smo(gram, y, c, tol, budget)
     w = X.T @ (alpha * y)
     b = _bias_from_dual(alpha, grad, y, c)
     return LinearSvm(weights=w, bias=b, c=c, converged=gap < tol)

@@ -11,7 +11,8 @@ with A = Y^T Y and B = X^T Y accumulated over the batch. Each column step
 is an exact constrained minimization, so the total reconstruction error
 never increases within an update. Atoms that no example used are left
 untouched by the update and recycled from the worst-reconstructed
-examples afterwards.
+examples afterwards. A recycled atom has no code mass in the epoch's
+codes, so recycling leaves the objective of those codes unchanged.
 """
 
 from dataclasses import dataclass, field
@@ -42,7 +43,6 @@ class LearnConfig:
     lam: float
     epochs: int = 50
     seed: int = 0
-    dead_usage_threshold: int = 0
     objective_tol: float = 1e-6
     solver_tol: float = 1e-8
     solver_max_iter: int = 1000
@@ -54,8 +54,6 @@ class LearnConfig:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
         if self.lam < 0:
             raise InputError(f"lam must be >= 0, got {self.lam}")
-        if self.dead_usage_threshold < 0:
-            raise InputError("dead_usage_threshold must be >= 0")
         if not self.objective_tol > 0:
             raise InputError("objective_tol must be > 0")
 
@@ -148,16 +146,14 @@ def replace_dead_atoms(
     usage,
     examples,
     seed: int,
-    codes=None,
-    threshold: int = 0,
+    codes,
 ) -> Tuple[Dictionary, int]:
-    """Swap under-used atoms for the worst-reconstructed training examples.
+    """Swap dead atoms for the worst-reconstructed training examples.
 
-    Atoms with usage <= threshold are replaced, worst-reconstructed example
-    first; earlier dead atoms take worse examples, and distinct dead atoms
-    take distinct examples while any remain. Reconstruction error per
-    example comes from `codes` when given, otherwise from the best
-    single-atom least-squares fit.
+    Atoms with zero usage are replaced, worst-reconstructed example first;
+    earlier dead atoms take worse examples, and distinct dead atoms take
+    distinct examples while any remain. Reconstruction error per example
+    comes from `codes`.
     """
     X = _as_finite(examples, 2, name="examples", nonempty=2)
     usage = np.asarray(usage)
@@ -165,20 +161,13 @@ def replace_dead_atoms(
         raise InputError(
             f"usage has shape {usage.shape}, expected ({d.atom_count},)"
         )
-    dead = np.flatnonzero(usage <= threshold)
+    dead = np.flatnonzero(usage == 0)
     if dead.size == 0:
         return d, 0
 
-    if codes is not None:
-        Y = _as_codes(codes, X.shape[0], d.atom_count)
-        R = X - Y @ d.atoms.T
-        errs = np.sum(R * R, axis=1)
-    else:
-        sq = np.sum(X * X, axis=1)
-        col_norms = np.linalg.norm(d.atoms, axis=0)
-        ok = col_norms > 0.0
-        proj = X @ d.atoms[:, ok] / col_norms[ok]
-        errs = sq - np.max(proj * proj, axis=1, initial=0.0)
+    Y = _as_codes(codes, X.shape[0], d.atom_count)
+    R = X - Y @ d.atoms.T
+    errs = np.sum(R * R, axis=1)
 
     row_norms = np.linalg.norm(X, axis=1)
     order = [i for i in np.argsort(-errs, kind="stable") if row_norms[i] > 0.0]
@@ -202,8 +191,8 @@ def learn_dictionary(examples, cfg: LearnConfig) -> Tuple[Dictionary, TrainStats
     budget runs out.
 
     The recorded objective is evaluated after each epoch's dictionary
-    update with that epoch's codes; with the default dead-usage threshold
-    of zero, dead-atom recycling cannot change it.
+    update with that epoch's codes. Dead-atom recycling cannot change it,
+    because only atoms with zero usage in those codes are recycled.
     """
     X = _as_finite(examples, 2, name="examples", nonempty=2)
     d = init_dictionary(X, cfg.atom_count, cfg.seed)
@@ -218,14 +207,7 @@ def learn_dictionary(examples, cfg: LearnConfig) -> Tuple[Dictionary, TrainStats
         stats.objective_per_epoch.append(obj)
 
         usage = np.count_nonzero(Y, axis=0)
-        d, replaced = replace_dead_atoms(
-            d,
-            usage,
-            X,
-            seed=cfg.seed + epoch + 1,
-            codes=Y,
-            threshold=cfg.dead_usage_threshold,
-        )
+        d, replaced = replace_dead_atoms(d, usage, X, seed=cfg.seed + epoch + 1, codes=Y)
         stats.atoms_replaced += replaced
 
         if prev is not None:

@@ -34,17 +34,6 @@ class FormatError(MmsparseError):
     exit_code = 3
 
 
-class MissingArtifactError(MmsparseError):
-    """A pipeline stage was invoked before its upstream artifacts exist."""
-
-    category = "state"
-    exit_code = 4
-
-    def __init__(self, message: str, required_stage: str | None = None):
-        super().__init__(message)
-        self.required_stage = required_stage
-
-
 def _as_finite(x, ndim: int, dim: int | None = None, name: str = "x",
                nonempty: int = 0) -> np.ndarray:
     """x as a float64 array of `ndim` dimensions, or InputError.

@@ -43,10 +43,10 @@ class WhiteningTransform:
     epsilon: float
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        basis = np.asarray(self.basis, dtype=np.float64)
-        scales = np.asarray(self.scales, dtype=np.float64)
-        if basis.ndim != 2 or basis.shape != (mean.size, self.out_dim):
+        mean = _as_finite(self.mean, 1, name="whitening mean")
+        basis = _as_finite(self.basis, 2, name="whitening basis")
+        scales = _as_finite(self.scales, 1, name="whitening scales")
+        if basis.shape != (mean.size, self.out_dim):
             raise InputError(
                 f"basis shape {basis.shape} inconsistent with mean size "
                 f"{mean.size} and out_dim {self.out_dim}"

@@ -48,10 +48,10 @@ class GaussianMixture:
     variance_floor: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        mu = np.asarray(self.means, dtype=np.float64)
-        var = np.asarray(self.variances, dtype=np.float64)
-        if w.ndim != 1 or mu.ndim != 2 or var.shape != mu.shape:
+        w = _as_finite(self.weights, 1, name="mixture weights")
+        mu = _as_finite(self.means, 2, name="mixture means")
+        var = _as_finite(self.variances, 2, name="mixture variances")
+        if var.shape != mu.shape:
             raise InputError("inconsistent mixture parameter shapes")
         if w.shape[0] != mu.shape[0]:
             raise InputError(
@@ -68,10 +68,6 @@ class GaussianMixture:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", var)
-
-    @property
-    def n_components(self) -> int:
-        return self.weights.shape[0]
 
     @property
     def dim(self) -> int:
@@ -148,8 +144,6 @@ def fit_gmm_em(
     weights = np.full(m, 1.0 / m)
     means = _kmeanspp_means(X, m, rng)
     variances = np.maximum(np.tile(global_var, (m, 1)), floor)
-    if not np.all(variances > 0):
-        variances = np.maximum(variances, floor)
 
     stats = EmStats()
     prev_ll: Optional[float] = None

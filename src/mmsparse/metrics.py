@@ -7,7 +7,7 @@ with AP defined as 0 when nothing is relevant.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ __all__ = [
     "average_precision",
     "mean_average_precision",
     "accuracy",
-    "format_results",
 ]
 
 
@@ -75,10 +74,3 @@ def accuracy(predicted: Sequence, actual: Sequence) -> float:
         raise InputError("accuracy requires at least one example")
     return sum(p == a for p, a in zip(predicted, actual)) / len(predicted)
 
-
-def format_results(per_event_ap: Dict[str, float], map_value: float, acc: float) -> str:
-    """Results record as UTF-8 key-value lines (one metric per line)."""
-    lines = [f"accuracy={acc!r}", f"map={map_value!r}"]
-    for event in sorted(per_event_ap):
-        lines.append(f"ap.{event}={per_event_ap[event]!r}")
-    return "\n".join(lines) + "\n"

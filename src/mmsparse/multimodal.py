@@ -72,11 +72,6 @@ class JointDictionary:
         if self.lambda_joint < 0:
             raise InputError(f"lambda_joint must be >= 0, got {self.lambda_joint}")
 
-    @property
-    def dims(self) -> ModalityPair:
-        na, nv = self.inner.modality_dims
-        return ModalityPair(na, nv)
-
 
 def fuse_input(x_a, x_v) -> np.ndarray:
     """Concatenate one audio and one video vector with 1/sqrt(N) scaling:

@@ -100,31 +100,24 @@ class Dictionary:
 
 @dataclass(frozen=True)
 class SparseCode:
-    """Coefficient vector plus its explicit support.
+    """Coefficient vector of one coded example.
 
-    `support` is exactly the sorted list of nonzero coefficient indices.
     `converged` is False when the producing solver stopped abnormally
     (LASSO iteration budget exhausted, OMP rank-deficient selection).
     """
 
     coeffs: np.ndarray
-    support: Tuple[int, ...]
     converged: bool = True
 
     def __post_init__(self):
         coeffs = _as_finite(np.ascontiguousarray(self.coeffs), 1, name="coeffs")
-        actual = tuple(int(i) for i in np.flatnonzero(coeffs))
-        if tuple(self.support) != actual:
-            raise InputError("support does not match nonzero coefficients")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "support", actual)
 
-    @classmethod
-    def from_coeffs(cls, coeffs, converged: bool = True) -> "SparseCode":
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        support = tuple(int(i) for i in np.flatnonzero(coeffs))
-        return cls(coeffs=coeffs, support=support, converged=converged)
+    @property
+    def support(self) -> Tuple[int, ...]:
+        """Sorted indices of the nonzero coefficients."""
+        return tuple(int(i) for i in np.flatnonzero(self.coeffs))
 
     @property
     def nnz(self) -> int:
@@ -308,7 +301,7 @@ def lasso_encode(x, d: Dictionary, cfg: SolverConfig) -> SparseCode:
     returns its final iterate with converged=False."""
     x = _as_finite(x, 1, d.input_dim)
     codes, converged = lasso_encode_batch(x[None, :], d, cfg)
-    return SparseCode.from_coeffs(codes[0], converged=bool(converged[0]))
+    return SparseCode(codes[0], converged=bool(converged[0]))
 
 
 def omp_encode(x, d: Dictionary, s: int) -> SparseCode:
@@ -330,7 +323,7 @@ def omp_encode(x, d: Dictionary, s: int) -> SparseCode:
     k = d.atom_count
     coeffs = np.zeros(k)
     if s == 0:
-        return SparseCode.from_coeffs(coeffs)
+        return SparseCode(coeffs)
 
     atoms = d.atoms
     norms = np.linalg.norm(atoms, axis=0)
@@ -364,4 +357,4 @@ def omp_encode(x, d: Dictionary, s: int) -> SparseCode:
 
     if support:
         coeffs[support] = sol
-    return SparseCode.from_coeffs(coeffs, converged=not flagged)
+    return SparseCode(coeffs, converged=not flagged)

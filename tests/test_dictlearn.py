@@ -118,7 +118,8 @@ class TestReplaceDeadAtoms:
         rng = np.random.default_rng(7)
         d = unit_column_dictionary(rng, 4, 3)
         X = rng.standard_normal((6, 4))
-        d2, n = replace_dead_atoms(d, np.array([2, 1, 4]), X, seed=0)
+        codes = rng.standard_normal((6, 3))
+        d2, n = replace_dead_atoms(d, np.array([2, 1, 4]), X, seed=0, codes=codes)
         assert n == 0
         np.testing.assert_array_equal(d2.atoms, d.atoms)
 
@@ -137,7 +138,8 @@ class TestReplaceDeadAtoms:
         rng = np.random.default_rng(8)
         X = rng.standard_normal((6, 4))
         d = unit_column_dictionary(rng, 4, 3)
-        d2, n = replace_dead_atoms(d, np.zeros(3, dtype=int), X, seed=0)
+        codes = np.zeros((6, 3))  # no atom is used
+        d2, n = replace_dead_atoms(d, np.zeros(3, dtype=int), X, seed=0, codes=codes)
         assert n == 3
         rows = {tuple(np.round(X[i] / np.linalg.norm(X[i]), 12)) for i in range(6)}
         cols = [tuple(np.round(d2.atoms[:, j], 12)) for j in range(3)]

@@ -2,6 +2,7 @@
 value and a wrong number of dimensions with InputError."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ LEARN = LearnConfig(atom_count=3, lam=0.1, epochs=1)
 # name -> (an accepted array, a call that passes its argument in that slot)
 CASES = {
     "Dictionary": (D.atoms, lambda a: Dictionary(a)),
-    "SparseCode": (y, lambda a: SparseCode.from_coeffs(a)),
+    "SparseCode": (y, lambda a: SparseCode(a)),
     "lasso_encode": (x, lambda a: lasso_encode(a, D, CFG)),
     "lasso_encode_batch": (X, lambda a: lasso_encode_batch(a, D, CFG)),
     "lasso_objective:x": (x, lambda a: lasso_objective(a, D, y, 0.1)),
@@ -95,20 +96,24 @@ CASES = {
     "learn_dictionary": (X, lambda a: learn_dictionary(a, LEARN)),
     "dictionary_update_step:examples": (X, lambda a: dictionary_update_step(a, Y, D)),
     "dictionary_update_step:codes": (Y, lambda a: dictionary_update_step(X, a, D)),
-    "replace_dead_atoms:examples": (X, lambda a: replace_dead_atoms(D, np.zeros(3), a, 0)),
-    "replace_dead_atoms:codes": (
-        Y, lambda a: replace_dead_atoms(D, np.zeros(3), X, 0, codes=a)
-    ),
+    "replace_dead_atoms:examples": (X, lambda a: replace_dead_atoms(D, np.zeros(3), a, 0, Y)),
+    "replace_dead_atoms:codes": (Y, lambda a: replace_dead_atoms(D, np.zeros(3), X, 0, a)),
     "coding_objective:examples": (X, lambda a: coding_objective(a, D, Y, 0.1)),
     "coding_objective:codes": (Y, lambda a: coding_objective(X, D, a, 0.1)),
     "fit_whitening": (X, lambda a: fit_whitening(a, 2)),
     "apply_whitening": (X, lambda a: apply_whitening(WHITEN, a)),
+    "WhiteningTransform:mean": (WHITEN.mean, lambda a: replace(WHITEN, mean=a)),
+    "WhiteningTransform:basis": (WHITEN.basis, lambda a: replace(WHITEN, basis=a)),
+    "WhiteningTransform:scales": (WHITEN.scales, lambda a: replace(WHITEN, scales=a)),
     "max_pool": (Y, lambda a: max_pool(a)),
     "pool_clip": (Y, lambda a: pool_clip([a], "c", "audio")),
     "PooledFeature": (y, lambda a: PooledFeature(a, "c", "audio")),
     "fit_gmm_em": (X, lambda a: fit_gmm_em(a, 2, max_iter=2)),
     "posteriors": (x, lambda a: posteriors(GMM, a)),
     "gmm_supervector": (X, lambda a: gmm_supervector(GMM, a)),
+    "GaussianMixture:weights": (GMM.weights, lambda a: replace(GMM, weights=a)),
+    "GaussianMixture:means": (GMM.means, lambda a: replace(GMM, means=a)),
+    "GaussianMixture:variances": (GMM.variances, lambda a: replace(GMM, variances=a)),
     "FrameHistogram": (np.ones(8), lambda a: FrameHistogram(a, 0, 0.0)),
     "AudioClip": (np.zeros(64), lambda a: AudioClip(a, 22050)),
     "take_left_channel": (np.zeros(64), lambda a: take_left_channel(a, 22050, channels=1)),
@@ -126,7 +131,7 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("fault", ["nan", "ndim"])
+@pytest.mark.parametrize("fault", ["nan", "inf", "ndim"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_bad_array_raises_input_error(name, fault):
     good, call = CASES[name]
@@ -134,6 +139,8 @@ def test_bad_array_raises_input_error(name, fault):
     bad = np.array(good, dtype=np.float64)
     if fault == "nan":
         bad.flat[0] = np.nan
+    elif fault == "inf":
+        bad.flat[0] = np.inf
     else:
         bad = bad[None]
     with pytest.raises(InputError):

@@ -10,7 +10,6 @@ from mmsparse.metrics import (
     RankedList,
     accuracy,
     average_precision,
-    format_results,
     mean_average_precision,
 )
 
@@ -126,13 +125,3 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             accuracy([1, 2], [1])
-
-
-class TestFormatResults:
-    def test_key_value_lines(self):
-        text = format_results({"E01": 0.5, "E00": 1.0}, 0.75, 0.8)
-        lines = text.strip().split("\n")
-        assert lines[0] == "accuracy=0.8"
-        assert lines[1] == "map=0.75"
-        assert lines[2] == "ap.E00=1.0"
-        assert lines[3] == "ap.E01=0.5"

@@ -1,5 +1,6 @@
-"""Packaging: the source tree holds an importable package, and every
-console script that pyproject.toml declares resolves to a callable."""
+"""Packaging: the source tree holds an importable package, every console
+script that pyproject.toml declares resolves to a callable, and every name
+a module exports in __all__ exists."""
 
 import importlib
 import pathlib
@@ -23,3 +24,10 @@ def test_script_targets_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name} names {target}, which is not callable"
+
+
+def test_all_exports_resolve():
+    for path in sorted((ROOT / "src" / "mmsparse").glob("*.py")):
+        module = importlib.import_module(f"mmsparse.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name}"

@@ -55,14 +55,11 @@ class TestDictionaryType:
 
 
 class TestSparseCodeType:
-    def test_support_must_match(self):
-        with pytest.raises(InputError):
-            SparseCode(coeffs=np.array([1.0, 0.0]), support=(1,))
-
     def test_from_coeffs_builds_support(self):
-        c = SparseCode.from_coeffs(np.array([0.0, -2.0, 3.0]))
+        c = SparseCode(np.array([0.0, -2.0, 3.0]))
         assert c.support == (1, 2)
         assert c.nnz == 2
+        assert SparseCode(np.zeros(3)).support == ()
 
 
 class TestLassoEncode:

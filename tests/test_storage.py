@@ -1,16 +1,13 @@
-"""Matrix file format, manifests, and key-value records."""
+"""Matrix file format and key-value records."""
 
 import numpy as np
 import pytest
 
 from mmsparse.errors import FormatError, InputError
 from mmsparse.storage import (
-    ManifestRecord,
     file_digest,
-    load_manifest,
     load_matrix,
     load_record,
-    save_manifest,
     save_matrix,
     save_record,
 )
@@ -69,65 +66,6 @@ class TestMatrixFile:
     def test_float32_overflow_rejected(self, tmp_path):
         with pytest.raises(InputError, match="overflow"):
             save_matrix(tmp_path / "big.scmx", np.array([[1e300]]))
-
-
-class TestManifest:
-    def write_clip_files(self, tmp_path, names):
-        for n in names:
-            (tmp_path / n).write_bytes(b"")
-
-    def test_empty_file_gives_empty_manifest(self, tmp_path):
-        p = tmp_path / "m.tsv"
-        p.write_text("")
-        m = load_manifest(p)
-        assert len(m) == 0
-
-    def test_single_record(self, tmp_path):
-        self.write_clip_files(tmp_path, ["a.scmx", "v.scmx"])
-        p = tmp_path / "m.tsv"
-        p.write_text("clip0\tE01\ta.scmx\tv.scmx\t3\n")
-        m = load_manifest(p)
-        assert len(m) == 1
-        assert m.records[0] == ManifestRecord("clip0", "E01", "a.scmx", "v.scmx", 3)
-
-    def test_comments_and_blanks_ignored(self, tmp_path):
-        self.write_clip_files(tmp_path, ["a.scmx", "v.scmx"])
-        p = tmp_path / "m.tsv"
-        p.write_text("# header\n\nclip0\tE01\ta.scmx\tv.scmx\t2\n")
-        assert len(load_manifest(p)) == 1
-
-    def test_duplicate_clip_id_names_offender(self, tmp_path):
-        self.write_clip_files(tmp_path, ["a.scmx", "v.scmx"])
-        p = tmp_path / "m.tsv"
-        p.write_text(
-            "clip0\tE01\ta.scmx\tv.scmx\t2\nclip0\tE02\ta.scmx\tv.scmx\t2\n"
-        )
-        with pytest.raises(FormatError, match="clip0"):
-            load_manifest(p)
-
-    def test_malformed_line_reports_line_number(self, tmp_path):
-        p = tmp_path / "m.tsv"
-        p.write_text("# ok\nclip0\tE01\tonly_three\n")
-        with pytest.raises(FormatError, match="line 2"):
-            load_manifest(p)
-
-    def test_missing_referenced_file(self, tmp_path):
-        p = tmp_path / "m.tsv"
-        p.write_text("clip0\tE01\tmissing.scmx\talso.scmx\t1\n")
-        with pytest.raises(FormatError, match="missing"):
-            load_manifest(p)
-        assert len(load_manifest(p, check_paths=False)) == 1
-
-    def test_save_load_round_trip(self, tmp_path):
-        self.write_clip_files(tmp_path, ["a0.scmx", "v0.scmx", "a1.scmx", "v1.scmx"])
-        records = [
-            ManifestRecord("c0", "E01", "a0.scmx", "v0.scmx", 4),
-            ManifestRecord("c1", "background", "a1.scmx", "v1.scmx", 2),
-        ]
-        p = tmp_path / "m.tsv"
-        save_manifest(p, records)
-        m = load_manifest(p)
-        assert list(m.records) == records
 
 
 class TestRecords:

@@ -172,8 +172,8 @@ def train_svm(
         raise InputError("labels must be +1 or -1")
     if np.all(y == 1.0) or np.all(y == -1.0):
         raise InputError("training requires at least one example of each class")
-    if c <= 0:
-        raise InputError(f"c must be positive, got {c}")
+    if not (np.isfinite(c) and c > 0):
+        raise InputError(f"c must be finite and positive, got {c}")
 
     gram = X @ X.T
     n = X.shape[0]
@@ -274,6 +274,8 @@ def cross_validate(
     grid = [float(c) for c in c_grid]
     if not grid:
         raise InputError("c grid must not be empty")
+    if not all(np.isfinite(c) and c > 0 for c in grid):
+        raise InputError(f"c grid values must be finite and positive, got {grid}")
     labels = [str(v) for v in labels]
     assignment, folds_used, reduced = stratified_folds(labels, folds, seed)
 

@@ -14,27 +14,45 @@ threshold sits at lam / 2 and the KKT conditions read
 
 Every l1 coder goes through one engine, lasso_encode_batch: lasso_encode
 is its one-row case, and dictionary learning and cross-modal coding call
-it too. The engine runs cyclic coordinate descent in fixed ascending
-coordinate order; each coordinate update is an exact minimization, so the
-objective is non-increasing per update. A row stops when its largest
-coordinate step in a sweep and then its KKT violation fall below tol.
-Columns need not be unit norm (split dictionaries produced from a joint
-dictionary are not).
+it too. Columns need not be unit norm (split dictionaries produced from a
+joint dictionary are not). The engine has two paths to the same exact
+solution and picks which runs first by the row count it is given:
 
-The engine has two sweeps of the same arithmetic and picks one by the row
-count it is given. Below _VECTOR_SWEEP_MIN_ROWS rows it sweeps one row at
-a time on Python floats; from there on it sweeps all unsettled rows at
-once in NumPy, which costs about a dozen array operations per coordinate
-whatever the row count. Timed on the trained dictionaries of the
-benchmark's `detect` set-up (32 atoms; audio 12-D, video 8-D, joint 20-D),
-256 rows in batches of m, one BLAS thread: at m = 1 the vector sweep was
-5-12x slower than the scalar one, at m = 128 it was 2-3x faster, and the
-two broke even between 24 and 48 rows (between 64 and 128 on a split
-audio block, whose rows take more sweeps). Streamed clips code 3-6 rows
-per call and cross-modal coding 1, so they take the scalar sweep; training
-codes 100-250 rows per call and takes the vector one.
+- Below _VECTOR_SWEEP_MIN_ROWS rows, each row follows the LASSO homotopy
+  (Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000; LARS with drops
+  in Efron et al., Ann. Statist. 2004). From mu = max|D^T x| it follows
+  y_A = G_AA^-1 (D_A^T x - mu s_A) down to mu = lam/2, where A is the
+  active set and s_A its signs; an atom joins A when its correlation
+  reaches mu and leaves when its coefficient reaches 0. G = D^T D is
+  formed once per call; the inverse of G_AA is updated as atoms join and
+  leave, and the end point is solved afresh. The path ends exactly, so
+  the KKT test at tol is a postcondition, not a stopping rule.
+- From the switch on, all rows run cyclic coordinate descent together in
+  NumPy, in fixed ascending coordinate order; each update is an exact
+  minimization, so the objective never rises. A row stops when its
+  largest step in a sweep and then its KKT violation fall below tol.
+  Each converged row is then refit exactly on its signed support.
+
+A row the first path cannot finish (see lasso_encode_batch) goes to the
+other one.
+
+Timed on the trained dictionaries of the benchmark's `detect` set-up at
+seed 1 (32 atoms; audio 12-D, video 8-D, joint 20-D, and the split audio
+and video blocks of the joint dictionary), 256 streamed rows coded in
+batches of m rows, one BLAS thread, in ms per row, homotopy against
+descent: 0.19-0.53 against 6.9-27 at m = 1, 0.16-0.39 against 0.85-5.0 at
+m = 32, 0.14-0.40 against 0.30-1.9 at m = 128 and 0.14-0.40 against
+0.18-1.2 at m = 256, where descent won on the audio and joint
+dictionaries (0.18 against 0.21 and 0.28 against 0.39 ms). The switch
+still sits at 32 rows, where the scalar and vector descent sweeps used
+to break even, so calls of 32 rows or more, such as dictionary
+learning's, keep descent. Streamed clips code 3-6 rows per call and
+cross-modal coding 1; their median paths take 2 steps on the audio and
+video dictionaries, 5 on the joint one and 7 and 4 on the split audio
+and video blocks, 13 at most.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -126,7 +144,10 @@ class SparseCode:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """LASSO solver settings: l1 weight, KKT tolerance, sweep budget."""
+    """LASSO solver settings: the l1 weight lam >= 0, the KKT tolerance
+    tol (finite, > 0) that a converged code meets, and max_iter >= 1, the
+    budget of homotopy path steps per row and of coordinate descent
+    sweeps."""
 
     lam: float
     tol: float = 1e-8
@@ -135,10 +156,11 @@ class SolverConfig:
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0:
             raise InputError(f"lam must be >= 0, got {self.lam}")
-        if not self.tol > 0:
-            raise InputError(f"tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise InputError(f"tol must be finite and > 0, got {self.tol}")
+        if (not isinstance(self.max_iter, numbers.Integral)
+                or isinstance(self.max_iter, bool) or self.max_iter < 1):
+            raise InputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 def _example_and_code(x, d: Dictionary, y) -> Tuple[np.ndarray, np.ndarray]:
@@ -179,9 +201,108 @@ def reconstruction_error(x, d: Dictionary, y) -> float:
     return float(r @ r)
 
 
-# Row count at which lasso_encode_batch switches from sweeping one row at a
-# time to sweeping all unsettled rows at once (see the module docstring).
+# Row count at which lasso_encode_batch switches from the per-row homotopy
+# to coordinate descent on all rows at once (see the module docstring).
 _VECTOR_SWEEP_MIN_ROWS = 32
+
+# An atom whose squared distance from the span of the other active atoms
+# (its Cholesky pivot in G_AA, squared) falls below this share of its
+# squared norm counts as in that span: G_AA is then singular.
+_PIVOT_RTOL = 1e-10
+
+
+def _row_kkt(X: np.ndarray, atoms: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
+    """KKT violation of each row of the codes Y (m, k) for the rows of X."""
+    return _kkt(2.0 * (atoms.T @ (X.T - atoms @ Y.T)), Y.T, lam)
+
+
+def _path(c0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int):
+    """The LASSO homotopy of one row, given c0 = D^T x and G = D^T D.
+
+    As mu falls from max|c0| to lam/2, the active atoms A with signs s_A
+    keep y_A(mu) = G_AA^-1 (c0_A - mu s_A) = u - mu w, and every correlation
+    c(mu) = c0 - G[:, A] y_A(mu) = p + mu q stays within +-mu. A step ends
+    at the largest mu below the current one where an inactive c_j reaches
+    +-mu (j joins A) or an active y_j reaches 0 (j leaves A). M = G_AA^-1
+    is updated as atoms join and leave; that was 13-27% faster per row than
+    a fresh factorization at each step. Returns (A, y_A) at mu = lam/2, or
+    None when the path needs more than max_iter steps or G_AA turns
+    singular.
+    """
+    j = int(np.argmax(np.abs(c0)))
+    if abs(c0[j]) <= half_lam:
+        return [], np.zeros(0)
+    active, signs = [j], [1.0 if c0[j] > 0 else -1.0]
+    M = np.array([[1.0 / G[j, j]]])
+    inactive = np.ones(c0.shape[0], dtype=bool)
+    inactive[j] = False
+    left, left_sign = -1, 0.0  # the atom that left in the previous step
+    for _ in range(max_iter):
+        GA = G[:, active]
+        u, w = (M @ np.column_stack([c0[active], signs])).T
+        p = c0 - GA @ u
+        q = GA @ w
+        # joins: p_j + mu q_j reaches +mu (while 1 - q_j > 0) or -mu (while
+        # 1 + q_j > 0) at these mu. An atom that just left sits at
+        # s_j mu, a root of its own sign's branch: only the other can count.
+        up_ok, down_ok = inactive & (q < 1.0), inactive & (q > -1.0)
+        if left >= 0:
+            (up_ok if left_sign > 0 else down_ok)[left] = False
+        up = np.where(up_ok, p, -np.inf) / np.where(up_ok, 1.0 - q, 1.0)
+        down = np.where(down_ok, -p, -np.inf) / np.where(down_ok, 1.0 + q, 1.0)
+        jn = int(np.argmax(np.maximum(up, down)))
+        mu_join = max(up[jn], down[jn])
+        # drops: y_j shrinks to 0 where s_j w_j < 0. An atom that joined
+        # moving against its sign has y_j = 0 already and leaves at once.
+        shrinks = np.asarray(signs) * w < 0.0
+        drops = np.where(shrinks, u, -np.inf) / np.where(shrinks, w, 1.0)
+        dr = int(np.argmax(drops))
+        if max(mu_join, drops[dr]) <= half_lam:
+            # solved afresh: the updates of M leave rounding behind
+            end = c0[active] - half_lam * np.asarray(signs)
+            return active, np.linalg.solve(GA[active], end)
+        if drops[dr] >= mu_join:
+            left, left_sign = active.pop(dr), signs.pop(dr)
+            inactive[left] = True
+            keep = np.arange(M.shape[0]) != dr
+            M = M[keep][:, keep] - np.outer(M[keep, dr], M[dr, keep]) / M[dr, dr]
+        else:
+            # bordered inverse; its pivot is the Cholesky pivot of jn
+            b = M @ GA[jn]
+            pivot = G[jn, jn] - GA[jn] @ b
+            if not pivot >= _PIVOT_RTOL * G[jn, jn]:
+                return None
+            n = M.shape[0]
+            grown = np.empty((n + 1, n + 1))
+            grown[:n, :n] = M + np.outer(b, b) / pivot
+            grown[:n, n] = grown[n, :n] = -b / pivot
+            grown[n, n] = 1.0 / pivot
+            M = grown
+            left = -1
+            active.append(jn)
+            signs.append(1.0 if up[jn] >= down[jn] else -1.0)
+            inactive[jn] = False
+    return None
+
+
+def _homotopy(X: np.ndarray, atoms: np.ndarray, G: np.ndarray, lam: float,
+              tol: float, max_iter: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact LASSO codes of the rows of X, one homotopy path per row.
+
+    A row is flagged False, with a meaningless code, when its path fails
+    (see _path) or when its end point does not pass the KKT test at tol,
+    which rounding could break."""
+    m, k = X.shape[0], atoms.shape[1]
+    C0 = X @ atoms
+    codes = np.zeros((m, k))
+    ok = np.zeros(m, dtype=bool)
+    for i in range(m):
+        end = _path(C0[i], G, 0.5 * lam, max_iter)
+        if end is not None:
+            codes[i, end[0]] = end[1]
+            ok[i] = True
+    ok[ok] = _row_kkt(X[ok], atoms, codes[ok], lam) < tol
+    return codes, ok
 
 
 def _converged(step, atoms: np.ndarray, R: np.ndarray, Y: np.ndarray,
@@ -195,53 +316,16 @@ def _converged(step, atoms: np.ndarray, R: np.ndarray, Y: np.ndarray,
     return ok
 
 
-def _cd_scalar(X: np.ndarray, atoms: np.ndarray, lam: float, tol: float,
-               max_iter: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Cyclic coordinate descent, one row of X after another, on Python
-    floats (a row's code y is a list) to keep per-coordinate overhead low."""
-    m, k = X.shape[0], atoms.shape[1]
-    cols = list(np.ascontiguousarray(atoms.T))
-    sq_norms = np.einsum("nk,nk->k", atoms, atoms).tolist()
-    half_lam = 0.5 * lam
-    codes = np.zeros((m, k))
-    converged = np.zeros(m, dtype=bool)
-    for i in range(m):
-        y = [0.0] * k
-        r = X[i].copy()
-        for _ in range(max_iter):
-            max_delta = 0.0
-            for j in range(k):
-                g = sq_norms[j]
-                if g <= 0.0:
-                    continue
-                col = cols[j]
-                rho = float(col @ r) + g * y[j]
-                mag = abs(rho) - half_lam
-                new = (mag / g if rho > 0 else -mag / g) if mag > 0.0 else 0.0
-                delta = new - y[j]
-                if delta != 0.0:
-                    r -= delta * col
-                    y[j] = new
-                    if abs(delta) > max_delta:
-                        max_delta = abs(delta)
-            if max_delta < tol and _converged(
-                np.array([max_delta]), atoms, r[:, None], np.array(y)[:, None], lam, tol
-            )[0]:
-                converged[i] = True
-                break
-        codes[i] = y
-    return codes, converged
-
-
-def _cd_vector(X: np.ndarray, atoms: np.ndarray, lam: float, tol: float,
-               max_iter: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Cyclic coordinate descent on every unsettled row of X at once.
+def _cd_vector(X: np.ndarray, atoms: np.ndarray, G: np.ndarray, lam: float,
+               tol: float, max_iter: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Cyclic coordinate descent on every unsettled row of X at once, then
+    the exact refit of each converged row (see _refit).
 
     The unsettled rows' codes Y and residuals R are kept packed side by
     side, one column per row; a row that passes the stopping test is
     scattered out to `codes` and dropped from both."""
     m, k = X.shape[0], atoms.shape[1]
-    sq_norms = np.einsum("nk,nk->k", atoms, atoms)
+    sq_norms = np.diag(G)
     half_lam = 0.5 * lam
     codes = np.zeros((m, k))
     converged = np.zeros(m, dtype=bool)
@@ -271,7 +355,51 @@ def _cd_vector(X: np.ndarray, atoms: np.ndarray, lam: float, tol: float,
             if rows.size == 0:
                 break
     codes[rows] = Y.T
-    return codes, converged
+    return _refit(X, atoms, G, codes, converged, lam), converged
+
+
+def _refit(X: np.ndarray, atoms: np.ndarray, G: np.ndarray, codes: np.ndarray,
+           converged: np.ndarray, lam: float) -> np.ndarray:
+    """Re-solve each converged row of codes exactly on its own support S
+    and signs s: y_S = G_SS^-1 (D_S^T x - lam/2 s). A row whose G_SS fails
+    the pivot test of the homotopy keeps its coordinate descent code, and
+    so does a row whose refit does not lower its KKT violation (its
+    support or signs were wrong)."""
+    rows = np.flatnonzero(converged)
+    if rows.size == 0:
+        return codes
+    Y = codes[rows]
+    on = Y != 0.0
+    size = on.sum(axis=1)
+    # each row's support first, padded to the largest support with unit
+    # pivots, so that all systems stack as (rows, width, width)
+    width = max(int(size.max()), 1)
+    S = np.argsort(~on, axis=1, kind="stable")[:, :width]
+    real = np.arange(width) < size[:, None]
+    both = real[:, :, None] & real[:, None, :]
+    mats = np.where(both, G[S[:, :, None], S[:, None, :]], np.eye(width))
+    signs = np.sign(np.take_along_axis(Y, S, axis=1))
+    rhs = np.where(real, np.take_along_axis(X[rows] @ atoms, S, axis=1) - 0.5 * lam * signs, 0.0)
+    try:
+        piv = np.diagonal(np.linalg.cholesky(mats), axis1=1, axis2=2)
+    except np.linalg.LinAlgError:
+        # one matrix that is not positive definite fails the whole stack;
+        # factor row by row so that it costs only its own row the refit
+        piv = np.zeros((rows.size, width))
+        for i, m in enumerate(mats):
+            try:
+                piv[i] = np.linalg.cholesky(m).diagonal()
+            except np.linalg.LinAlgError:
+                pass
+    ok = np.all(piv ** 2 >= _PIVOT_RTOL * np.diagonal(mats, axis1=1, axis2=2), axis=1)
+    sol = np.linalg.solve(mats[ok], rhs[ok][:, :, None])[:, :, 0]
+    fit = np.zeros((sol.shape[0], Y.shape[1]))
+    np.put_along_axis(fit, S[ok], np.where(real[ok], sol, 0.0), axis=1)
+    refit = Y.copy()
+    refit[ok] = fit
+    better = _row_kkt(X[rows], atoms, refit, lam) < _row_kkt(X[rows], atoms, Y, lam)
+    codes[rows[better]] = refit[better]
+    return codes
 
 
 def lasso_encode_batch(
@@ -280,25 +408,42 @@ def lasso_encode_batch(
     """Encode the rows of xs against one dictionary: the package's one
     LASSO engine.
 
-    Each row runs cyclic coordinate descent until its largest coordinate
-    step and then its KKT violation fall below cfg.tol, or for cfg.max_iter
-    sweeps. Below _VECTOR_SWEEP_MIN_ROWS rows, the rows are swept one at a
-    time in scalar code; at or above it, all unsettled rows are swept
-    together in NumPy and each leaves as soon as it passes the test. The
-    switch sits where the two sweeps broke even when timed (see the module
-    docstring); both give the same codes up to rounding. Returns
-    (codes, converged) with codes of shape (len(xs), atom_count); xs is
-    not modified.
+    Below _VECTOR_SWEEP_MIN_ROWS rows, each row follows the exact LASSO
+    homotopy for at most cfg.max_iter steps. A row whose path fails (step
+    budget spent, singular active set) or whose end point misses the KKT
+    test at cfg.tol goes to coordinate descent instead. At or above the
+    switch, all rows run coordinate descent together in NumPy: a row stops
+    once its largest coordinate step and then its KKT violation fall below
+    cfg.tol, or after cfg.max_iter sweeps, and each converged row is then
+    refit exactly on its signed support. A row that descent leaves
+    unconverged takes the homotopy's code where that path succeeds. Both
+    sides of the switch thus return the exact solution up to rounding; the
+    module docstring gives the timings behind the switch. Returns (codes,
+    converged) with codes of shape (len(xs), atom_count); a row flagged
+    False holds its last descent iterate. xs is not modified.
     """
     X = _as_finite(xs, 2, d.input_dim, "examples")
-    sweep = _cd_scalar if X.shape[0] < _VECTOR_SWEEP_MIN_ROWS else _cd_vector
-    return sweep(X, d.atoms, cfg.lam, cfg.tol, cfg.max_iter)
+    G = d.atoms.T @ d.atoms
+    args = (d.atoms, G, cfg.lam, cfg.tol, cfg.max_iter)
+    if X.shape[0] < _VECTOR_SWEEP_MIN_ROWS:
+        codes, converged = _homotopy(X, *args)
+        rest = np.flatnonzero(~converged)
+        if rest.size:
+            codes[rest], converged[rest] = _cd_vector(X[rest], *args)
+    else:
+        codes, converged = _cd_vector(X, *args)
+        rest = np.flatnonzero(~converged)
+        if rest.size:
+            exact, ok = _homotopy(X[rest], *args)
+            codes[rest[ok]], converged[rest[ok]] = exact[ok], True
+    return codes, converged
 
 
 def lasso_encode(x, d: Dictionary, cfg: SolverConfig) -> SparseCode:
     """Solve the l1 coding problem for one example: the one-row case of
-    lasso_encode_batch. An example whose solve stops at cfg.max_iter sweeps
-    returns its final iterate with converged=False."""
+    lasso_encode_batch. An example that neither the homotopy (in
+    cfg.max_iter steps) nor coordinate descent (in cfg.max_iter sweeps)
+    finishes returns its last descent iterate with converged=False."""
     x = _as_finite(x, 1, d.input_dim)
     codes, converged = lasso_encode_batch(x[None, :], d, cfg)
     return SparseCode(codes[0], converged=bool(converged[0]))

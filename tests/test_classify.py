@@ -118,6 +118,14 @@ class TestTrainSvm:
         with pytest.raises(InputError):
             train_svm(np.ones((3, 2)), np.array([1.0, 1.0, 1.0]), c=1.0)
 
+    def test_nonfinite_or_nonpositive_c_rejected(self):
+        X = np.array([[1.0], [-1.0]])
+        y = np.array([1.0, -1.0])
+        for c in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(InputError):
+                train_svm(X, y, c=c)
+        assert train_svm(X, y, c=5e-324).c == 5e-324
+
     def test_label_flip_flips_scores(self):
         rng = np.random.default_rng(5)
         X, y = blobs(rng)
@@ -252,6 +260,12 @@ class TestCrossValidate:
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
             cross_validate(np.ones((4, 2)), ["a", "a", "b", "b"], c_grid=[], folds=2)
+
+    def test_nonfinite_grid_value_rejected(self):
+        X = np.array([[1.0], [2.0], [-1.0], [-2.0]])
+        for bad in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(InputError):
+                cross_validate(X, ["a", "a", "b", "b"], c_grid=[1.0, bad], folds=2)
 
 
 class TestEventModelTraining:

@@ -1,4 +1,4 @@
-"""Property test of the LASSO engine, on both sides of its row switch.
+"""Property tests of the LASSO engine, on both sides of its row switch.
 
 Kept apart from test_solvers.py so that a checkout without hypothesis still
 collects the solver oracles there."""
@@ -48,3 +48,30 @@ def test_engine_properties(seed, m, n, k, lam, normalized):
         assert yi.support == tuple(np.flatnonzero(yi.coeffs))
         if ok[i]:
             assert kkt_violation(xs[i], d, codes[i], lam) <= cfg.tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 40),
+    n=st.integers(1, 10),
+    k=st.integers(1, 16),
+    lam=st.floats(0.05, 2.0),
+    split=st.booleans(),
+)
+def test_converged_rows_are_exact(seed, m, n, k, lam, split):
+    # Both sides of the switch return the exact solution, up to rounding:
+    # the homotopy's end point, or descent's code refit on its support.
+    # Split atoms are the first rows of a unit-norm dictionary scaled by
+    # sqrt(rows), as multimodal.split_joint makes them.
+    rng = np.random.default_rng(seed)
+    if split:
+        joint = unit_column_dictionary(rng, n + int(rng.integers(1, 10)), k).atoms
+        d = Dictionary(joint[:n] * np.sqrt(n), normalized=False)
+    else:
+        d = unit_column_dictionary(rng, n, k)
+    xs = rng.standard_normal((m, n)) * rng.uniform(0.5, 3.0)
+    codes, ok = lasso_encode_batch(xs, d, SolverConfig(lam=lam))
+    for x, y in zip(xs[ok], codes[ok]):
+        scale = max(1.0, float(np.max(np.abs(2.0 * d.atoms.T @ x))))
+        assert kkt_violation(x, d, y, lam) <= 1e-12 * scale

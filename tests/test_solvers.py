@@ -1,4 +1,5 @@
-"""Solver contracts: LASSO coordinate descent, OMP, and their diagnostics."""
+"""Solver contracts: the LASSO engine (homotopy and coordinate descent),
+OMP, and their diagnostics."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mmsparse.solvers import (
     SolverConfig,
     SparseCode,
     _VECTOR_SWEEP_MIN_ROWS,
+    _homotopy,
     kkt_violation,
     lasso_encode,
     lasso_encode_batch,
@@ -60,6 +62,22 @@ class TestSparseCodeType:
         assert c.support == (1, 2)
         assert c.nnz == 2
         assert SparseCode(np.zeros(3)).support == ()
+
+
+class TestSolverConfig:
+    def test_rejects_nonfinite_or_nonpositive_tol(self):
+        for tol in (float("inf"), float("nan"), 0.0, -1e-8):
+            with pytest.raises(InputError):
+                SolverConfig(lam=0.1, tol=tol)
+
+    def test_rejects_non_integer_or_small_max_iter(self):
+        for max_iter in (2.5, 1.0, True, 0, -3, "10"):
+            with pytest.raises(InputError):
+                SolverConfig(lam=0.1, max_iter=max_iter)
+
+    def test_boundary_values_accepted(self):
+        assert SolverConfig(lam=0.0, tol=5e-324, max_iter=1).max_iter == 1
+        assert SolverConfig(lam=0.1, tol=1e300, max_iter=np.int64(7)).max_iter == 7
 
 
 class TestLassoEncode:
@@ -127,8 +145,10 @@ class TestLassoEncode:
         for _ in range(10):
             d = unit_column_dictionary(rng, 6, 12)
             x = rng.standard_normal(6)
-            # CD is deterministic: stopping after t = 1, 2, ..., T sweeps
-            # replays one solve sweep by sweep, to convergence or max_iter.
+            # A budget of t below the homotopy's path length sends the row
+            # to coordinate descent, which stops after t sweeps; CD is
+            # deterministic, so t = 1, 2, ... replays its sweeps one by one
+            # up to the path length, and from there the exact end point.
             trace = []
             for t in range(1, SolverConfig(lam=0.2).max_iter + 1):
                 y = lasso_encode(x, d, SolverConfig(lam=0.2, max_iter=t))
@@ -192,6 +212,129 @@ class TestLassoBatch:
         assert ok.all()
         for i in range(15):
             assert kkt_violation(xs[i], d, codes[i], cfg.lam) <= cfg.tol
+
+
+def homotopy_fails(xs, d, cfg):
+    """Rows of xs whose homotopy path the engine gives up on."""
+    _, ok = _homotopy(xs, d.atoms, d.atoms.T @ d.atoms, cfg.lam, cfg.tol, cfg.max_iter)
+    return ~ok
+
+
+def exact_kkt_bound(x, d):
+    """KKT violation left by an exact solve, up to rounding."""
+    return 1e-12 * max(1.0, float(np.max(np.abs(2.0 * d.atoms.T @ x))))
+
+
+def assert_rows_are_single_solves(xs, d, cfg):
+    """Every row of the batch is its own one-row solve, converged or not
+    alike; returns the batch's codes and flags."""
+    codes, ok = lasso_encode_batch(xs, d, cfg)
+    for i, x in enumerate(xs):
+        yi = lasso_encode(x, d, cfg)
+        assert yi.converged == ok[i]
+        np.testing.assert_allclose(codes[i], yi.coeffs, rtol=0, atol=1e-9)
+    return codes, ok
+
+
+class TestHomotopyPath:
+    def test_random_rows_need_no_fallback(self):
+        # on generic data every path reaches lam/2 and passes the KKT test;
+        # the fallbacks below are for degenerate input and spent budgets
+        rng = np.random.default_rng(43)
+        for trial in range(60):
+            n, k = int(rng.integers(1, 11)), int(rng.integers(1, 17))
+            d = unit_column_dictionary(rng, n, k)
+            if trial % 2:
+                d = Dictionary(d.atoms * rng.uniform(0.2, 3.0, size=k), normalized=False)
+            xs = rng.standard_normal((8, n)) * rng.uniform(0.5, 3.0)
+            cfg = SolverConfig(lam=float(rng.uniform(0.05, 2.0)))
+            assert not homotopy_fails(xs, d, cfg).any()
+
+
+class TestFallbacks:
+    # A row the homotopy cannot finish goes to coordinate descent and its
+    # refit (each case checks that the path does fail there), and a row
+    # descent cannot finish to the homotopy; a singular support skips the
+    # refit.
+
+    def test_duplicated_atom_singular_active_set(self):
+        # atom 4 repeats atom 0 up to 1e-7: both join, and G_AA is singular
+        rng = np.random.default_rng(39)
+        atoms = rng.standard_normal((3, 4))
+        atoms /= np.linalg.norm(atoms, axis=0)
+        twin = atoms[:, 0] + 1e-7 * rng.standard_normal(3)
+        d = Dictionary(np.column_stack([atoms, twin / np.linalg.norm(twin)]))
+        x = 2.0 * rng.standard_normal(3)
+        xs = np.stack([x, -x, 0.5 * x, x + 0.1])
+        cfg = SolverConfig(lam=0.3)
+        assert homotopy_fails(xs, d, cfg).all()
+        codes, ok = assert_rows_are_single_solves(xs, d, cfg)
+        assert ok.all()
+        for x, y in zip(xs, codes):
+            assert kkt_violation(x, d, y, cfg.lam) <= cfg.tol
+
+    def test_lambda_zero_more_atoms_than_dims(self):
+        rng = np.random.default_rng(0)
+        d = unit_column_dictionary(rng, 3, 6)
+        xs = rng.standard_normal((5, 3))
+        cfg = SolverConfig(lam=0.0)
+        assert homotopy_fails(xs, d, cfg).all()
+        codes, ok = assert_rows_are_single_solves(xs, d, cfg)
+        assert ok.all()
+        for x, y in zip(xs, codes):
+            assert kkt_violation(x, d, y, 0.0) <= cfg.tol
+
+    def test_step_budget_below_path_length(self):
+        rng = np.random.default_rng(23)
+        d = unit_column_dictionary(rng, 6, 12)
+        xs = rng.standard_normal((4, 6))
+        cfg = SolverConfig(lam=0.2, max_iter=1)
+        assert homotopy_fails(xs, d, cfg).all()
+        assert not homotopy_fails(xs, d, SolverConfig(lam=0.2)).any()
+        _, ok = assert_rows_are_single_solves(xs, d, cfg)
+        assert not ok.any()  # one CD sweep does not converge either
+        # on the vector side, rows one sweep leaves unconverged still take
+        # the homotopy's code where the path has one step: x = 3 d_j
+        one_step = 3.0 * d.atoms.T[rng.integers(0, 12, size=_VECTOR_SWEEP_MIN_ROWS)]
+        xs = np.vstack([xs, one_step])
+        _, ok = assert_rows_are_single_solves(xs, d, cfg)
+        assert ok.tolist() == [False] * 4 + [True] * _VECTOR_SWEEP_MIN_ROWS
+        # D = I: a 3-step path, but CD is exact after one sweep and sees
+        # that after the second
+        x = np.array([[3.0, -2.0, 1.0]])
+        cfg = SolverConfig(lam=0.5, max_iter=2)
+        assert homotopy_fails(x, identity_dictionary(3), cfg).all()
+        codes, ok = assert_rows_are_single_solves(x, identity_dictionary(3), cfg)
+        assert ok.all()
+        np.testing.assert_allclose(codes[0], [2.75, -1.75, 0.75], rtol=0, atol=1e-15)
+
+    def test_singular_support_costs_only_its_own_refit(self):
+        # Atoms 0 and 2 are the same vector. CD moves atom 0, then atom 1,
+        # whose step raises atom 2's correlation: row 0's CD code uses both
+        # twins, a singular support. Its refit is skipped; the other rows
+        # of the 40-row (vector side) batch are still refit exactly.
+        e = np.eye(4)
+        atoms = np.column_stack([e[0], [-0.6, 0.8, 0, 0], e[0], e[2], e[3], [0, 0.6, 0.8, 0]])
+        d = Dictionary(atoms)
+        rng = np.random.default_rng(1)
+        xs = np.zeros((40, 4))
+        xs[:, 1] = 0.3 * rng.standard_normal(40)
+        xs[:, 2:] = 2.0 * rng.standard_normal((40, 2))
+        xs[0] = [3.0, 2.0, 0.0, 0.0]
+        assert xs.shape[0] >= _VECTOR_SWEEP_MIN_ROWS
+        cfg = SolverConfig(lam=0.5)
+        codes, ok = lasso_encode_batch(xs, d, cfg)
+        assert ok.all()
+        assert codes[0, 0] != 0.0 and codes[0, 2] != 0.0
+        # the twins split row 0's weight differently from its one-row
+        # solve, at the same (not unique) optimum
+        single = lasso_encode(xs[0], d, cfg)
+        assert lasso_objective(xs[0], d, codes[0], cfg.lam) == pytest.approx(
+            lasso_objective(xs[0], d, single, cfg.lam), rel=1e-12)
+        assert kkt_violation(xs[0], d, codes[0], cfg.lam) <= cfg.tol
+        for x, y in zip(xs[1:], codes[1:]):
+            np.testing.assert_allclose(y, lasso_encode(x, d, cfg).coeffs, rtol=0, atol=1e-9)
+            assert kkt_violation(x, d, y, cfg.lam) <= exact_kkt_bound(x, d)
 
 
 class TestKktViolation:

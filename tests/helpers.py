@@ -1,8 +1,11 @@
 """Shared test utilities: small random problem builders and reference
 implementations kept deliberately independent of the library code paths."""
 
+import math
+
 import numpy as np
 
+from mmsparse.media import AudioClip, tf_agc
 from mmsparse.solvers import Dictionary
 
 
@@ -66,3 +69,68 @@ def proximal_gradient_lasso(x, atoms, lam, max_iter=1_000_000, stop_delta=1e-14)
             break
         y = y_next
     return y
+
+
+def octave_band_signals_ref(x: np.ndarray, n_bands: int) -> np.ndarray:
+    """Octave-band split by rFFT bin masking, one inverse FFT per band."""
+    n = x.size
+    spectrum = np.fft.rfft(x)
+    freqs = np.fft.rfftfreq(n)  # cycles/sample, up to 0.5
+    nyq = 0.5
+    bands = np.empty((n_bands, n))
+    lower_edges = [nyq / 2 ** (b + 1) for b in range(n_bands)]
+    for b in range(n_bands):
+        hi = nyq / 2**b
+        lo = lower_edges[b] if b < n_bands - 1 else 0.0
+        if b == n_bands - 1:
+            mask = freqs <= hi
+        else:
+            mask = (freqs > lo) & (freqs <= hi)
+        bands[b] = np.fft.irfft(spectrum * mask, n=n)
+    return bands
+
+
+def tf_agc_reference(
+    clip: AudioClip,
+    n_bands: int = 8,
+    attack_s: float = 0.025,
+    release_s: float = 0.25,
+    gain_floor: float = 1e-6,
+) -> AudioClip:
+    """tf-AGC oracle: the envelope and the gain smoother run sample by
+    sample, exactly as their recursions read."""
+    x = clip.samples
+    if x.size == 0:
+        return clip
+    fs = clip.sample_rate_hz
+    bands = octave_band_signals_ref(x, n_bands)
+    decay = math.exp(-1.0 / (release_s * fs))
+    c_attack = 1.0 - math.exp(-1.0 / (attack_s * fs))
+    c_release = 1.0 - math.exp(-1.0 / (release_s * fs))
+
+    out = np.zeros_like(x)
+    for b in range(n_bands):
+        band = bands[b]
+        env = 0.0
+        gain = 1.0
+        gained = np.empty_like(band)
+        for n in range(band.size):
+            p = band[n] * band[n]
+            env = p if p > env * decay else env * decay
+            target = 1.0 / math.sqrt(env if env > gain_floor else gain_floor)
+            c = c_attack if target < gain else c_release
+            gain += c * (target - gain)
+            gained[n] = band[n] * gain
+        out += gained
+    return AudioClip(samples=out, sample_rate_hz=fs)
+
+
+def assert_matches_tf_agc_reference(x, fs, **kwargs):
+    """tf_agc(x) equals the per-sample oracle to 1e-12 of the larger of 1
+    and the oracle's peak magnitude."""
+    clip = AudioClip(np.asarray(x, dtype=float), fs)
+    ref = tf_agc_reference(clip, **kwargs).samples
+    got = tf_agc(clip, **kwargs).samples
+    scale = max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+    err = float(np.max(np.abs(got - ref), initial=0.0))
+    assert err <= 1e-12 * scale, (err, scale)

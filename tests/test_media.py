@@ -6,6 +6,7 @@ from scipy.fft import dct
 
 from mmsparse.errors import InputError
 from mmsparse.media import (
+    _STRETCH_CHUNK,
     AudioClip,
     FrameHistogram,
     MfccConfig,
@@ -19,6 +20,8 @@ from mmsparse.media import (
     take_left_channel,
     tf_agc,
 )
+
+from helpers import assert_matches_tf_agc_reference
 
 FS = 22050
 
@@ -167,6 +170,89 @@ class TestTfAgc:
         x = rng.uniform(-1, 1, size=FS // 2) * 1e-4
         out = tf_agc(AudioClip(x, FS))
         assert np.all(np.isfinite(out.samples))
+
+
+def _tone(hz, seconds=0.5):
+    return np.sin(2 * np.pi * hz * np.arange(int(seconds * FS)) / FS)
+
+
+def _modulated_noise(seconds=0.5):
+    t = np.arange(int(seconds * FS)) / FS
+    return np.random.default_rng(6).standard_normal(t.size) * (1 + 0.9 * np.sin(2 * np.pi * 3 * t))
+
+
+def _chirp(seconds=0.5):
+    t = np.arange(int(seconds * FS)) / FS
+    return np.sin(2 * np.pi * (100.0 * t + 9000.0 * t * t))
+
+
+def _clicks(seconds=0.5, every=551):
+    return (np.arange(int(seconds * FS)) % every == 0).astype(float)
+
+
+class TestTfAgcMatchesLoop:
+    @pytest.mark.parametrize(
+        "signal, kwargs",
+        [
+            pytest.param(lambda: _tone(440.0), {}, id="tone-440"),
+            pytest.param(
+                lambda: np.concatenate([_tone(440.0, 0.25), 0.1 * _tone(440.0, 0.25)]), {},
+                id="level-step",
+            ),
+            pytest.param(lambda: np.zeros(FS // 4), {}, id="silence"),
+            pytest.param(_modulated_noise, {}, id="modulated-noise"),
+            pytest.param(lambda: _tone(60.0), {}, id="tone-60"),
+            pytest.param(lambda: _tone(5000.0), {}, id="tone-5k"),
+            pytest.param(lambda: _tone(9700.0), {}, id="tone-9k7"),
+            pytest.param(_chirp, {}, id="chirp"),
+            pytest.param(_clicks, {}, id="clicks"),
+            pytest.param(lambda: np.array([0.3]), {}, id="length-1"),
+            pytest.param(lambda: np.array([0.3, -2.0]), {}, id="length-2"),
+            pytest.param(
+                lambda: np.random.default_rng(7).standard_normal(_STRETCH_CHUNK + 1), {},
+                id="chunk-plus-one",
+            ),
+            pytest.param(_chirp, {"attack_s": 1.0 / FS}, id="attack-one-sample"),
+            pytest.param(_clicks, {"attack_s": 1e-7}, id="attack-below-one-sample"),
+            pytest.param(
+                _modulated_noise, {"attack_s": 0.5, "release_s": 0.01},
+                id="attack-slower-than-release",
+            ),
+            pytest.param(_chirp, {"n_bands": 1}, id="one-band"),
+            pytest.param(_modulated_noise, {"n_bands": 12}, id="twelve-bands"),
+        ],
+    )
+    def test_matches_per_sample_loop(self, signal, kwargs):
+        assert_matches_tf_agc_reference(signal(), FS, **kwargs)
+
+
+class TestTfAgcParameters:
+    @pytest.mark.parametrize(
+        "samples, kwargs, name",
+        [
+            pytest.param(_modulated_noise(0.05), {"n_bands": 0}, "n_bands", id="n_bands-zero"),
+            pytest.param(_modulated_noise(0.05), {"n_bands": -1}, "n_bands", id="n_bands-negative"),
+            pytest.param(_modulated_noise(0.05), {"n_bands": True}, "n_bands", id="n_bands-bool"),
+            pytest.param(_modulated_noise(0.05), {"n_bands": 2.0}, "n_bands", id="n_bands-float"),
+            pytest.param(_modulated_noise(0.05), {"attack_s": 0.0}, "attack_s", id="attack-zero"),
+            pytest.param(
+                _modulated_noise(0.05), {"attack_s": -0.01}, "attack_s", id="attack-negative"
+            ),
+            pytest.param(
+                _modulated_noise(0.05), {"attack_s": np.inf}, "attack_s", id="attack-infinite"
+            ),
+            pytest.param(
+                _modulated_noise(0.05), {"release_s": np.nan}, "release_s", id="release-nan"
+            ),
+            pytest.param(np.zeros(FS // 20), {"gain_floor": 0.0}, "gain_floor", id="floor-zero"),
+            pytest.param(
+                _modulated_noise(0.05), {"gain_floor": -1e-6}, "gain_floor", id="floor-negative"
+            ),
+        ],
+    )
+    def test_bad_parameter_rejected(self, samples, kwargs, name):
+        with pytest.raises(InputError, match=name):
+            tf_agc(AudioClip(samples, FS), **kwargs)
 
 
 class TestMelFilterbank:

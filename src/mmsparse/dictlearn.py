@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import InputError, MmsparseError, _as_finite
+from .errors import InputError, MmsparseError, _as_finite, _check_count
 from .rng import make_rng
 from .solvers import Dictionary, SolverConfig, SparseCode, lasso_encode_batch
 
@@ -48,14 +48,12 @@ class LearnConfig:
     solver_max_iter: int = 1000
 
     def __post_init__(self):
-        if self.atom_count < 1:
-            raise InputError(f"atom_count must be >= 1, got {self.atom_count}")
-        if self.epochs < 1:
-            raise InputError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lam < 0:
-            raise InputError(f"lam must be >= 0, got {self.lam}")
-        if not self.objective_tol > 0:
-            raise InputError("objective_tol must be > 0")
+        _check_count(self.atom_count, "atom_count")
+        _check_count(self.epochs, "epochs")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise InputError(f"lam must be finite and >= 0, got {self.lam}")
+        if not (np.isfinite(self.objective_tol) and self.objective_tol > 0):
+            raise InputError(f"objective_tol must be finite and > 0, got {self.objective_tol}")
 
 
 @dataclass

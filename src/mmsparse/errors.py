@@ -8,7 +8,10 @@ _as_finite, which casts them to float64 and raises InputError for a wrong
 number of dimensions, a wrong last-axis length, an empty leading axis or a
 non-finite value. load_matrix checks its payload itself, because a
 non-finite value read from a file is a FormatError, not bad caller input.
+Integer settings (iteration budgets, counts) go through _check_count.
 """
+
+import numbers
 
 import numpy as np
 
@@ -53,3 +56,11 @@ def _as_finite(x, ndim: int, dim: int | None = None, name: str = "x",
     if not np.isfinite(v).all():
         raise InputError(f"{name} contains non-finite values")
     return v
+
+
+def _check_count(value, name: str) -> None:
+    """InputError unless value is an integer >= 1. NumPy integers pass;
+    bool, although an int subclass, does not."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < 1):
+        raise InputError(f"{name} must be an integer >= 1, got {value!r}")

@@ -15,14 +15,13 @@ coefficients for a 48-dimensional feature row.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.fft import dct
 
-from .errors import InputError, _as_finite
+from .errors import InputError, _as_finite, _check_count
 
 __all__ = [
     "FrameHistogram",
@@ -301,9 +300,7 @@ def tf_agc(
     its largest magnitude. n_bands must be an integer >= 1; attack_s,
     release_s and gain_floor must be finite and > 0.
     """
-    if (not isinstance(n_bands, numbers.Integral) or isinstance(n_bands, bool)
-            or n_bands < 1):
-        raise InputError(f"n_bands must be an integer >= 1, got {n_bands!r}")
+    _check_count(n_bands, "n_bands")
     for name, value in (("attack_s", attack_s), ("release_s", release_s),
                         ("gain_floor", gain_floor)):
         if not (np.isfinite(value) and value > 0):

@@ -69,8 +69,8 @@ class JointDictionary:
     def __post_init__(self):
         if self.inner.modality_dims is None:
             raise InputError("joint dictionary requires modality_dims")
-        if self.lambda_joint < 0:
-            raise InputError(f"lambda_joint must be >= 0, got {self.lambda_joint}")
+        if not (np.isfinite(self.lambda_joint) and self.lambda_joint >= 0):
+            raise InputError(f"lambda_joint must be finite and >= 0, got {self.lambda_joint}")
 
 
 def fuse_input(x_a, x_v) -> np.ndarray:
@@ -134,17 +134,15 @@ def encode_cross_modal(
     max_iter: int = 1000,
 ) -> SparseCode:
     """Code a single-modality vector against its block of a joint
-    dictionary with the per-modality l1 weight lambda2."""
-    if lambda2 < 0:
-        raise InputError(f"lambda2 must be >= 0, got {lambda2}")
+    dictionary with the per-modality l1 weight lambda2 (finite, >= 0)."""
     return lasso_encode(x, d_split, SolverConfig(lam=lambda2, tol=tol, max_iter=max_iter))
 
 
 def lambda_joint_of(lambda2: float, dims: ModalityPair) -> float:
     """Fused-space l1 weight matching a per-modality weight lambda2:
     lam' = (1/N_a + 1/N_v) * lam''."""
-    if lambda2 < 0:
-        raise InputError(f"lambda2 must be >= 0, got {lambda2}")
+    if not (np.isfinite(lambda2) and lambda2 >= 0):
+        raise InputError(f"lambda2 must be finite and >= 0, got {lambda2}")
     return (1.0 / dims.audio_dim + 1.0 / dims.video_dim) * lambda2
 
 

@@ -15,50 +15,29 @@ threshold sits at lam / 2 and the KKT conditions read
 Every l1 coder goes through one engine, lasso_encode_batch: lasso_encode
 is its one-row case, and dictionary learning and cross-modal coding call
 it too. Columns need not be unit norm (split dictionaries produced from a
-joint dictionary are not). The engine has two paths to the same exact
-solution and picks which runs first by the row count it is given:
+joint dictionary are not). Each row follows the LASSO homotopy (Osborne,
+Presnell & Turlach, IMA J. Numer. Anal. 2000; LARS with drops in Efron et
+al., Ann. Statist. 2004), whatever the batch size. From mu = max|D^T x| it
+follows y_A = G_AA^-1 (D_A^T x - mu s_A) down to mu = lam/2, where A is
+the active set and s_A its signs; an atom joins A when its correlation
+reaches mu and leaves when its coefficient reaches 0. G = D^T D is formed
+once per call; the inverse of G_AA is updated as atoms join and leave, and
+the end point is solved afresh. The path ends exactly, so the KKT test at
+tol is a postcondition, not a stopping rule.
 
-- Below _VECTOR_SWEEP_MIN_ROWS rows, each row follows the LASSO homotopy
-  (Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000; LARS with drops
-  in Efron et al., Ann. Statist. 2004). From mu = max|D^T x| it follows
-  y_A = G_AA^-1 (D_A^T x - mu s_A) down to mu = lam/2, where A is the
-  active set and s_A its signs; an atom joins A when its correlation
-  reaches mu and leaves when its coefficient reaches 0. G = D^T D is
-  formed once per call; the inverse of G_AA is updated as atoms join and
-  leave, and the end point is solved afresh. The path ends exactly, so
-  the KKT test at tol is a postcondition, not a stopping rule.
-- From the switch on, all rows run cyclic coordinate descent together in
-  NumPy, in fixed ascending coordinate order; each update is an exact
-  minimization, so the objective never rises. A row stops when its
-  largest step in a sweep and then its KKT violation fall below tol.
-  Each converged row is then refit exactly on its signed support.
-
-A row the first path cannot finish (see lasso_encode_batch) goes to the
-other one.
-
-Timed on the trained dictionaries of the benchmark's `detect` set-up at
-seed 1 (32 atoms; audio 12-D, video 8-D, joint 20-D, and the split audio
-and video blocks of the joint dictionary), 256 streamed rows coded in
-batches of m rows, one BLAS thread, in ms per row, homotopy against
-descent: 0.19-0.53 against 6.9-27 at m = 1, 0.16-0.39 against 0.85-5.0 at
-m = 32, 0.14-0.40 against 0.30-1.9 at m = 128 and 0.14-0.40 against
-0.18-1.2 at m = 256, where descent won on the audio and joint
-dictionaries (0.18 against 0.21 and 0.28 against 0.39 ms). The switch
-still sits at 32 rows, where the scalar and vector descent sweeps used
-to break even, so calls of 32 rows or more, such as dictionary
-learning's, keep descent. Streamed clips code 3-6 rows per call and
-cross-modal coding 1; their median paths take 2 steps on the audio and
-video dictionaries, 5 on the joint one and 7 and 4 on the split audio
-and video blocks, 13 at most.
+A row whose path fails (see lasso_encode_batch) falls back to cyclic
+coordinate descent. The fallback rows run together in NumPy, in fixed
+ascending coordinate order; each update is an exact minimization, so the
+objective never rises. A row stops when its largest step in a sweep and
+then its KKT violation fall below tol.
 """
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InputError, _as_finite
+from .errors import InputError, _as_finite, _check_count
 
 __all__ = [
     "Dictionary",
@@ -146,8 +125,8 @@ class SparseCode:
 class SolverConfig:
     """LASSO solver settings: the l1 weight lam >= 0, the KKT tolerance
     tol (finite, > 0) that a converged code meets, and max_iter >= 1, the
-    budget of homotopy path steps per row and of coordinate descent
-    sweeps."""
+    budget of homotopy path steps per row and, for a row whose path fails,
+    of fallback coordinate descent sweeps."""
 
     lam: float
     tol: float = 1e-8
@@ -158,9 +137,7 @@ class SolverConfig:
             raise InputError(f"lam must be >= 0, got {self.lam}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise InputError(f"tol must be finite and > 0, got {self.tol}")
-        if (not isinstance(self.max_iter, numbers.Integral)
-                or isinstance(self.max_iter, bool) or self.max_iter < 1):
-            raise InputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        _check_count(self.max_iter, "max_iter")
 
 
 def _example_and_code(x, d: Dictionary, y) -> Tuple[np.ndarray, np.ndarray]:
@@ -200,10 +177,6 @@ def reconstruction_error(x, d: Dictionary, y) -> float:
     r = x - d.atoms @ coeffs
     return float(r @ r)
 
-
-# Row count at which lasso_encode_batch switches from the per-row homotopy
-# to coordinate descent on all rows at once (see the module docstring).
-_VECTOR_SWEEP_MIN_ROWS = 32
 
 # An atom whose squared distance from the span of the other active atoms
 # (its Cholesky pivot in G_AA, squared) falls below this share of its
@@ -318,8 +291,8 @@ def _converged(step, atoms: np.ndarray, R: np.ndarray, Y: np.ndarray,
 
 def _cd_vector(X: np.ndarray, atoms: np.ndarray, G: np.ndarray, lam: float,
                tol: float, max_iter: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Cyclic coordinate descent on every unsettled row of X at once, then
-    the exact refit of each converged row (see _refit).
+    """Cyclic coordinate descent on every unsettled row of X at once: the
+    fallback for rows whose homotopy path fails.
 
     The unsettled rows' codes Y and residuals R are kept packed side by
     side, one column per row; a row that passes the stopping test is
@@ -355,51 +328,7 @@ def _cd_vector(X: np.ndarray, atoms: np.ndarray, G: np.ndarray, lam: float,
             if rows.size == 0:
                 break
     codes[rows] = Y.T
-    return _refit(X, atoms, G, codes, converged, lam), converged
-
-
-def _refit(X: np.ndarray, atoms: np.ndarray, G: np.ndarray, codes: np.ndarray,
-           converged: np.ndarray, lam: float) -> np.ndarray:
-    """Re-solve each converged row of codes exactly on its own support S
-    and signs s: y_S = G_SS^-1 (D_S^T x - lam/2 s). A row whose G_SS fails
-    the pivot test of the homotopy keeps its coordinate descent code, and
-    so does a row whose refit does not lower its KKT violation (its
-    support or signs were wrong)."""
-    rows = np.flatnonzero(converged)
-    if rows.size == 0:
-        return codes
-    Y = codes[rows]
-    on = Y != 0.0
-    size = on.sum(axis=1)
-    # each row's support first, padded to the largest support with unit
-    # pivots, so that all systems stack as (rows, width, width)
-    width = max(int(size.max()), 1)
-    S = np.argsort(~on, axis=1, kind="stable")[:, :width]
-    real = np.arange(width) < size[:, None]
-    both = real[:, :, None] & real[:, None, :]
-    mats = np.where(both, G[S[:, :, None], S[:, None, :]], np.eye(width))
-    signs = np.sign(np.take_along_axis(Y, S, axis=1))
-    rhs = np.where(real, np.take_along_axis(X[rows] @ atoms, S, axis=1) - 0.5 * lam * signs, 0.0)
-    try:
-        piv = np.diagonal(np.linalg.cholesky(mats), axis1=1, axis2=2)
-    except np.linalg.LinAlgError:
-        # one matrix that is not positive definite fails the whole stack;
-        # factor row by row so that it costs only its own row the refit
-        piv = np.zeros((rows.size, width))
-        for i, m in enumerate(mats):
-            try:
-                piv[i] = np.linalg.cholesky(m).diagonal()
-            except np.linalg.LinAlgError:
-                pass
-    ok = np.all(piv ** 2 >= _PIVOT_RTOL * np.diagonal(mats, axis1=1, axis2=2), axis=1)
-    sol = np.linalg.solve(mats[ok], rhs[ok][:, :, None])[:, :, 0]
-    fit = np.zeros((sol.shape[0], Y.shape[1]))
-    np.put_along_axis(fit, S[ok], np.where(real[ok], sol, 0.0), axis=1)
-    refit = Y.copy()
-    refit[ok] = fit
-    better = _row_kkt(X[rows], atoms, refit, lam) < _row_kkt(X[rows], atoms, Y, lam)
-    codes[rows[better]] = refit[better]
-    return codes
+    return codes, converged
 
 
 def lasso_encode_batch(
@@ -408,42 +337,30 @@ def lasso_encode_batch(
     """Encode the rows of xs against one dictionary: the package's one
     LASSO engine.
 
-    Below _VECTOR_SWEEP_MIN_ROWS rows, each row follows the exact LASSO
-    homotopy for at most cfg.max_iter steps. A row whose path fails (step
-    budget spent, singular active set) or whose end point misses the KKT
-    test at cfg.tol goes to coordinate descent instead. At or above the
-    switch, all rows run coordinate descent together in NumPy: a row stops
-    once its largest coordinate step and then its KKT violation fall below
-    cfg.tol, or after cfg.max_iter sweeps, and each converged row is then
-    refit exactly on its signed support. A row that descent leaves
-    unconverged takes the homotopy's code where that path succeeds. Both
-    sides of the switch thus return the exact solution up to rounding; the
-    module docstring gives the timings behind the switch. Returns (codes,
-    converged) with codes of shape (len(xs), atom_count); a row flagged
-    False holds its last descent iterate. xs is not modified.
+    Each row follows the exact LASSO homotopy for at most cfg.max_iter
+    steps. A row whose path fails (step budget spent, singular active set)
+    or whose end point misses the KKT test at cfg.tol falls back to
+    coordinate descent: it stops once its largest coordinate step and then
+    its KKT violation fall below cfg.tol, or after cfg.max_iter sweeps.
+    Returns (codes, converged) with codes of shape (len(xs), atom_count); a
+    row flagged False holds its last descent iterate. xs is not modified.
     """
     X = _as_finite(xs, 2, d.input_dim, "examples")
     G = d.atoms.T @ d.atoms
     args = (d.atoms, G, cfg.lam, cfg.tol, cfg.max_iter)
-    if X.shape[0] < _VECTOR_SWEEP_MIN_ROWS:
-        codes, converged = _homotopy(X, *args)
-        rest = np.flatnonzero(~converged)
-        if rest.size:
-            codes[rest], converged[rest] = _cd_vector(X[rest], *args)
-    else:
-        codes, converged = _cd_vector(X, *args)
-        rest = np.flatnonzero(~converged)
-        if rest.size:
-            exact, ok = _homotopy(X[rest], *args)
-            codes[rest[ok]], converged[rest[ok]] = exact[ok], True
+    codes, converged = _homotopy(X, *args)
+    rest = np.flatnonzero(~converged)
+    if rest.size:
+        codes[rest], converged[rest] = _cd_vector(X[rest], *args)
     return codes, converged
 
 
 def lasso_encode(x, d: Dictionary, cfg: SolverConfig) -> SparseCode:
     """Solve the l1 coding problem for one example: the one-row case of
-    lasso_encode_batch. An example that neither the homotopy (in
-    cfg.max_iter steps) nor coordinate descent (in cfg.max_iter sweeps)
-    finishes returns its last descent iterate with converged=False."""
+    lasso_encode_batch. An example whose homotopy path fails (in
+    cfg.max_iter steps) and whose fallback coordinate descent does not
+    converge (in cfg.max_iter sweeps) returns its last descent iterate with
+    converged=False."""
     x = _as_finite(x, 1, d.input_dim)
     codes, converged = lasso_encode_batch(x[None, :], d, cfg)
     return SparseCode(codes[0], converged=bool(converged[0]))

@@ -34,6 +34,34 @@ def planted_problem(rng, n=8, k=4, samples=200, min_sep=0.5):
     return atoms, X
 
 
+class TestLearnConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("atom_count", 2.5),
+            ("atom_count", True),
+            ("atom_count", 0),
+            ("epochs", 2.5),
+            ("epochs", False),
+            ("epochs", 0),
+            ("lam", float("nan")),
+            ("lam", float("inf")),
+            ("lam", -0.1),
+            ("objective_tol", float("inf")),
+            ("objective_tol", float("nan")),
+            ("objective_tol", 0.0),
+        ],
+    )
+    def test_bad_setting_rejected(self, field, value):
+        settings = {"atom_count": 2, "lam": 0.1, field: value}
+        with pytest.raises(InputError, match=field):
+            LearnConfig(**settings)
+
+    def test_numpy_integers_accepted(self):
+        cfg = LearnConfig(atom_count=np.int64(3), lam=0.0, epochs=np.int32(1))
+        assert (cfg.atom_count, cfg.epochs) == (3, 1)
+
+
 class TestInitDictionary:
     def test_all_rows_used_when_m_equals_k(self):
         X = np.eye(3)[[2, 0, 1]]

@@ -142,6 +142,12 @@ class TestSplitJoint:
         with pytest.raises(InputError):
             JointDictionary(Dictionary(np.eye(3)), lambda_joint=0.1)
 
+    def test_nonfinite_or_negative_lambda_rejected(self):
+        inner = Dictionary(np.eye(3), modality_dims=(1, 2))
+        for lam in (float("nan"), float("inf"), -0.1):
+            with pytest.raises(InputError, match="lambda_joint"):
+                JointDictionary(inner, lambda_joint=lam)
+
 
 class TestEncodeCrossModal:
     def test_zero_input(self):
@@ -171,6 +177,12 @@ class TestEncodeCrossModal:
             y = encode_cross_modal(x, d_split, 0.2)
             assert kkt_violation(x, d_split, y, 0.2) <= 1e-8
 
+    def test_nonfinite_or_negative_lambda_rejected(self):
+        da, _ = split_joint(random_joint(np.random.default_rng(6), 4, 3, 5))
+        for lam in (float("nan"), float("inf"), -0.1):
+            with pytest.raises(InputError):
+                encode_cross_modal(np.ones(4), da, lam)
+
 
 class TestLambdaJointOf:
     def test_unit_dims(self):
@@ -184,6 +196,11 @@ class TestLambdaJointOf:
 
     def test_zero(self):
         assert lambda_joint_of(0.0, ModalityPair(3, 7)) == 0.0
+
+    def test_nonfinite_or_negative_rejected(self):
+        for lam in (float("nan"), float("inf"), -0.1):
+            with pytest.raises(InputError, match="lambda2"):
+                lambda_joint_of(lam, ModalityPair(3, 7))
 
 
 class TestUnionFeatures:

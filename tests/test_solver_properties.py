@@ -1,4 +1,5 @@
-"""Property tests of the LASSO engine, on both sides of its row switch.
+"""Property tests of the LASSO engine, from one row up to 170, past the
+benchmark's largest call (168 rows).
 
 Kept apart from test_solvers.py so that a checkout without hypothesis still
 collects the solver oracles there."""
@@ -21,16 +22,16 @@ from helpers import unit_column_dictionary
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    m=st.integers(1, 40),
+    m=st.integers(1, 170),
     n=st.integers(1, 10),
     k=st.integers(1, 16),
     lam=st.floats(0.05, 2.0),
     normalized=st.booleans(),
 )
 def test_engine_properties(seed, m, n, k, lam, normalized):
-    # Both sweeps, over unit-norm and split-style (unnormalized) atoms:
-    # converged rows are optimal, every row is its own one-row solve,
-    # and the input is left as it was.
+    # Over unit-norm and split-style (unnormalized) atoms: converged rows
+    # are optimal, every row is its own one-row solve, and the input is
+    # left as it was.
     rng = np.random.default_rng(seed)
     atoms = unit_column_dictionary(rng, n, k).atoms
     if not normalized:
@@ -53,17 +54,17 @@ def test_engine_properties(seed, m, n, k, lam, normalized):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    m=st.integers(1, 40),
+    m=st.integers(1, 170),
     n=st.integers(1, 10),
     k=st.integers(1, 16),
     lam=st.floats(0.05, 2.0),
     split=st.booleans(),
 )
 def test_converged_rows_are_exact(seed, m, n, k, lam, split):
-    # Both sides of the switch return the exact solution, up to rounding:
-    # the homotopy's end point, or descent's code refit on its support.
-    # Split atoms are the first rows of a unit-norm dictionary scaled by
-    # sqrt(rows), as multimodal.split_joint makes them.
+    # Converged rows are the exact solution, up to rounding: the
+    # homotopy's end point, solved afresh on its active set. Split atoms
+    # are the first rows of a unit-norm dictionary scaled by sqrt(rows),
+    # as multimodal.split_joint makes them.
     rng = np.random.default_rng(seed)
     if split:
         joint = unit_column_dictionary(rng, n + int(rng.integers(1, 10)), k).atoms

@@ -1,5 +1,5 @@
-"""Solver contracts: the LASSO engine (homotopy and coordinate descent),
-OMP, and their diagnostics."""
+"""Solver contracts: the LASSO engine (the homotopy and its coordinate
+descent fallback), OMP, and their diagnostics."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from mmsparse.solvers import (
     Dictionary,
     SolverConfig,
     SparseCode,
-    _VECTOR_SWEEP_MIN_ROWS,
     _homotopy,
     kkt_violation,
     lasso_encode,
@@ -194,8 +193,7 @@ class TestLassoBatch:
         rng = np.random.default_rng(31)
         d = unit_column_dictionary(rng, 6, 10)
         cfg = SolverConfig(lam=0.25)
-        # one batch on each side of the switch from scalar to vector sweeps
-        for m in (7, _VECTOR_SWEEP_MIN_ROWS + 3):
+        for m in (7, 35):
             xs = rng.standard_normal((m, 6))
             codes, ok = lasso_encode_batch(xs, d, cfg)
             assert ok.all()
@@ -212,6 +210,21 @@ class TestLassoBatch:
         assert ok.all()
         for i in range(15):
             assert kkt_violation(xs[i], d, codes[i], cfg.lam) <= cfg.tol
+
+    def test_large_batch_takes_the_homotopy(self):
+        # however many rows a call has, each row's code and flag are its
+        # homotopy path's, to the bit
+        rng = np.random.default_rng(41)
+        d = unit_column_dictionary(rng, 8, 32)
+        cfg = SolverConfig(lam=0.3)
+        for m in (32, 170):
+            xs = rng.standard_normal((m, 8)) * 2.0
+            codes, ok = lasso_encode_batch(xs, d, cfg)
+            path_codes, path_ok = _homotopy(
+                xs, d.atoms, d.atoms.T @ d.atoms, cfg.lam, cfg.tol, cfg.max_iter)
+            assert path_ok.all()
+            np.testing.assert_array_equal(ok, path_ok)
+            assert codes.tobytes() == path_codes.tobytes()
 
 
 def homotopy_fails(xs, d, cfg):
@@ -250,12 +263,28 @@ class TestHomotopyPath:
             cfg = SolverConfig(lam=float(rng.uniform(0.05, 2.0)))
             assert not homotopy_fails(xs, d, cfg).any()
 
+    def test_twin_atoms_rows_are_exact_single_solves(self):
+        # Atoms 0 and 2 are the same vector, so row 0's optimum is not
+        # unique. Every row of the 40-row batch, row 0 included, is still
+        # its own one-row solve and exact up to rounding.
+        e = np.eye(4)
+        atoms = np.column_stack([e[0], [-0.6, 0.8, 0, 0], e[0], e[2], e[3], [0, 0.6, 0.8, 0]])
+        d = Dictionary(atoms)
+        rng = np.random.default_rng(1)
+        xs = np.zeros((40, 4))
+        xs[:, 1] = 0.3 * rng.standard_normal(40)
+        xs[:, 2:] = 2.0 * rng.standard_normal((40, 2))
+        xs[0] = [3.0, 2.0, 0.0, 0.0]
+        cfg = SolverConfig(lam=0.5)
+        codes, ok = assert_rows_are_single_solves(xs, d, cfg)
+        assert ok.all()
+        for x, y in zip(xs, codes):
+            assert kkt_violation(x, d, y, cfg.lam) <= exact_kkt_bound(x, d)
+
 
 class TestFallbacks:
-    # A row the homotopy cannot finish goes to coordinate descent and its
-    # refit (each case checks that the path does fail there), and a row
-    # descent cannot finish to the homotopy; a singular support skips the
-    # refit.
+    # A row the homotopy cannot finish goes to coordinate descent; each
+    # case checks that the path does fail there.
 
     def test_duplicated_atom_singular_active_set(self):
         # atom 4 repeats atom 0 up to 1e-7: both join, and G_AA is singular
@@ -293,12 +322,12 @@ class TestFallbacks:
         assert not homotopy_fails(xs, d, SolverConfig(lam=0.2)).any()
         _, ok = assert_rows_are_single_solves(xs, d, cfg)
         assert not ok.any()  # one CD sweep does not converge either
-        # on the vector side, rows one sweep leaves unconverged still take
-        # the homotopy's code where the path has one step: x = 3 d_j
-        one_step = 3.0 * d.atoms.T[rng.integers(0, 12, size=_VECTOR_SWEEP_MIN_ROWS)]
+        # in a larger batch, rows whose path has one step (x = 3 d_j) still
+        # finish within the one-step budget
+        one_step = 3.0 * d.atoms.T[rng.integers(0, 12, size=32)]
         xs = np.vstack([xs, one_step])
         _, ok = assert_rows_are_single_solves(xs, d, cfg)
-        assert ok.tolist() == [False] * 4 + [True] * _VECTOR_SWEEP_MIN_ROWS
+        assert ok.tolist() == [False] * 4 + [True] * 32
         # D = I: a 3-step path, but CD is exact after one sweep and sees
         # that after the second
         x = np.array([[3.0, -2.0, 1.0]])
@@ -307,34 +336,6 @@ class TestFallbacks:
         codes, ok = assert_rows_are_single_solves(x, identity_dictionary(3), cfg)
         assert ok.all()
         np.testing.assert_allclose(codes[0], [2.75, -1.75, 0.75], rtol=0, atol=1e-15)
-
-    def test_singular_support_costs_only_its_own_refit(self):
-        # Atoms 0 and 2 are the same vector. CD moves atom 0, then atom 1,
-        # whose step raises atom 2's correlation: row 0's CD code uses both
-        # twins, a singular support. Its refit is skipped; the other rows
-        # of the 40-row (vector side) batch are still refit exactly.
-        e = np.eye(4)
-        atoms = np.column_stack([e[0], [-0.6, 0.8, 0, 0], e[0], e[2], e[3], [0, 0.6, 0.8, 0]])
-        d = Dictionary(atoms)
-        rng = np.random.default_rng(1)
-        xs = np.zeros((40, 4))
-        xs[:, 1] = 0.3 * rng.standard_normal(40)
-        xs[:, 2:] = 2.0 * rng.standard_normal((40, 2))
-        xs[0] = [3.0, 2.0, 0.0, 0.0]
-        assert xs.shape[0] >= _VECTOR_SWEEP_MIN_ROWS
-        cfg = SolverConfig(lam=0.5)
-        codes, ok = lasso_encode_batch(xs, d, cfg)
-        assert ok.all()
-        assert codes[0, 0] != 0.0 and codes[0, 2] != 0.0
-        # the twins split row 0's weight differently from its one-row
-        # solve, at the same (not unique) optimum
-        single = lasso_encode(xs[0], d, cfg)
-        assert lasso_objective(xs[0], d, codes[0], cfg.lam) == pytest.approx(
-            lasso_objective(xs[0], d, single, cfg.lam), rel=1e-12)
-        assert kkt_violation(xs[0], d, codes[0], cfg.lam) <= cfg.tol
-        for x, y in zip(xs[1:], codes[1:]):
-            np.testing.assert_allclose(y, lasso_encode(x, d, cfg).coeffs, rtol=0, atol=1e-9)
-            assert kkt_violation(x, d, y, cfg.lam) <= exact_kkt_bound(x, d)
 
 
 class TestKktViolation:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError, _as_finite
+from .errors import InputError, _as_finite, _check_count, _check_real, _freeze
 from .rng import make_rng
 
 __all__ = [
@@ -55,11 +55,9 @@ class LinearSvm:
     converged: bool = True
 
     def __post_init__(self):
-        w = _as_finite(self.weights, 1, name="weights")
-        if not np.isfinite(self.bias):
-            raise InputError("model parameters must be finite")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        _check_real(self.bias, "bias")
+        _check_real(self.c, "c", gt=0)
+        _freeze(self, "weights", _as_finite(self.weights, 1, name="weights"))
 
 
 @dataclass(frozen=True)
@@ -164,6 +162,10 @@ def train_svm(
     when SMO stopped, and the model is its last iterate. The result does
     not depend on `seed`.
     """
+    _check_real(c, "c", gt=0)
+    _check_real(tol, "tol", gt=0)
+    if max_steps is not None:
+        _check_count(max_steps, "max_steps")
     X = _as_finite(x, 2, name="features", nonempty=1)
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != (X.shape[0],):
@@ -172,8 +174,6 @@ def train_svm(
         raise InputError("labels must be +1 or -1")
     if np.all(y == 1.0) or np.all(y == -1.0):
         raise InputError("training requires at least one example of each class")
-    if not (np.isfinite(c) and c > 0):
-        raise InputError(f"c must be finite and positive, got {c}")
 
     gram = X @ X.T
     n = X.shape[0]
@@ -240,8 +240,7 @@ def stratified_folds(labels: Sequence, folds: int, seed: int) -> Tuple[np.ndarra
     requested fold count.
     """
     labels = [str(v) for v in labels]
-    if folds < 2:
-        raise InputError(f"folds must be >= 2, got {folds}")
+    _check_count(folds, "folds", ge=2)
     counts: Dict[str, int] = {}
     for v in labels:
         counts[v] = counts.get(v, 0) + 1
@@ -271,11 +270,12 @@ def cross_validate(
     """Pick c from a grid by mean validation accuracy over stratified
     folds; ties prefer the smaller c."""
     X = _as_finite(x, 2, name="features", nonempty=1)
-    grid = [float(c) for c in c_grid]
+    grid = list(c_grid)
     if not grid:
         raise InputError("c grid must not be empty")
-    if not all(np.isfinite(c) and c > 0 for c in grid):
-        raise InputError(f"c grid values must be finite and positive, got {grid}")
+    for c in grid:
+        _check_real(c, "c grid value", gt=0)
+    grid = [float(c) for c in grid]
     labels = [str(v) for v in labels]
     assignment, folds_used, reduced = stratified_folds(labels, folds, seed)
 

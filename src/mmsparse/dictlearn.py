@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import InputError, MmsparseError, _as_finite, _check_count
+from .errors import InputError, MmsparseError, _as_finite, _check_count, _check_real
 from .rng import make_rng
 from .solvers import Dictionary, SolverConfig, SparseCode, lasso_encode_batch
 
@@ -50,10 +50,11 @@ class LearnConfig:
     def __post_init__(self):
         _check_count(self.atom_count, "atom_count")
         _check_count(self.epochs, "epochs")
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise InputError(f"lam must be finite and >= 0, got {self.lam}")
-        if not (np.isfinite(self.objective_tol) and self.objective_tol > 0):
-            raise InputError(f"objective_tol must be finite and > 0, got {self.objective_tol}")
+        _check_count(self.solver_max_iter, "solver_max_iter")
+        _check_count(self.seed, "seed", ge=None)
+        _check_real(self.lam, "lam", ge=0)
+        _check_real(self.objective_tol, "objective_tol", gt=0)
+        _check_real(self.solver_tol, "solver_tol", gt=0)
 
 
 @dataclass
@@ -77,6 +78,7 @@ def _as_codes(codes, m: int, k: int) -> np.ndarray:
 
 def coding_objective(examples, d: Dictionary, codes, lam: float) -> float:
     """Batch objective sum_i ||x_i - D y_i||^2 + lam ||y_i||_1."""
+    _check_real(lam, "lam", ge=0)
     X = _as_finite(examples, 2, name="examples", nonempty=2)
     Y = _as_codes(codes, X.shape[0], d.atom_count)
     R = X - Y @ d.atoms.T
@@ -90,8 +92,7 @@ def init_dictionary(examples, k: int, seed: int) -> Dictionary:
     with replacement otherwise; all-zero rows are never selected.
     """
     X = _as_finite(examples, 2, name="examples", nonempty=2)
-    if k < 1:
-        raise InputError(f"atom count must be >= 1, got {k}")
+    _check_count(k, "atom count")
     norms = np.linalg.norm(X, axis=1)
     eligible = np.flatnonzero(norms > 0.0)
     if eligible.size == 0:

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, _as_finite
+from .errors import InputError, _as_finite, _check_count, _check_real, _freeze
 
 __all__ = [
     "WhiteningTransform",
@@ -43,6 +43,8 @@ class WhiteningTransform:
     epsilon: float
 
     def __post_init__(self):
+        _check_count(self.out_dim, "out_dim")
+        _check_real(self.epsilon, "epsilon", ge=0)
         mean = _as_finite(self.mean, 1, name="whitening mean")
         basis = _as_finite(self.basis, 2, name="whitening basis")
         scales = _as_finite(self.scales, 1, name="whitening scales")
@@ -58,11 +60,9 @@ class WhiteningTransform:
         gram = basis.T @ basis
         if np.max(np.abs(gram - np.eye(self.out_dim))) > 1e-8:
             raise InputError("whitening basis columns must be orthonormal")
-        for arr in (mean, basis, scales):
-            arr.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "scales", scales)
+        _freeze(self, "mean", mean)
+        _freeze(self, "basis", basis)
+        _freeze(self, "scales", scales)
 
     @property
     def input_dim(self) -> int:
@@ -83,23 +83,22 @@ class PooledFeature:
             raise InputError(
                 f"unknown modality tag {self.modality_tag!r}; expected one of {MODALITY_TAGS}"
             )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _freeze(self, "values", values)
 
 
 def fit_whitening(x, d: int, eps: float = 1e-5) -> WhiteningTransform:
     """Fit a whitening transform on the rows of x, keeping d directions."""
+    _check_count(d, "out_dim")
+    _check_real(eps, "eps", ge=0)
     X = _as_finite(x, 2, name="training data")
     m, n = X.shape
     if m < 2:
         raise InputError(f"whitening needs at least 2 rows, got {m}")
-    if not 1 <= d <= min(m - 1, n):
+    if d > min(m - 1, n):
         raise InputError(
             f"out_dim {d} must lie in [1, min(rows-1, cols)] = "
             f"[1, {min(m - 1, n)}]"
         )
-    if eps < 0:
-        raise InputError(f"eps must be >= 0, got {eps}")
 
     mean = X.mean(axis=0)
     centered = X - mean
@@ -132,9 +131,7 @@ def apply_whitening(w: WhiteningTransform, x) -> np.ndarray:
 
 def max_pool(codes: Sequence) -> np.ndarray:
     """Elementwise maximum over a non-empty list of equal-length vectors."""
-    if len(codes) == 0:
-        raise InputError("max_pool requires at least one code")
-    return _as_finite(codes, 2, name="codes").max(axis=0)
+    return _as_finite(codes, 2, name="codes", nonempty=1).max(axis=0)
 
 
 def pool_clip(
@@ -146,8 +143,5 @@ def pool_clip(
     keyframes. Max is associative, so this equals one flat pool over every
     code in the clip.
     """
-    groups = [list(g) for g in keyframe_groups]
-    if not groups:
-        raise InputError("pool_clip requires at least one keyframe group")
-    staged = max_pool([max_pool(g) for g in groups])
+    staged = max_pool([max_pool(list(g)) for g in keyframe_groups])
     return PooledFeature(values=staged, clip_id=clip_id, modality_tag=modality_tag)

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError, _as_finite
+from .errors import InputError, _as_finite, _check_count, _check_real, _freeze
 from .features import PooledFeature
 from .rng import make_rng
 
@@ -48,6 +48,7 @@ class GaussianMixture:
     variance_floor: float
 
     def __post_init__(self):
+        _check_real(self.variance_floor, "variance_floor", gt=0)
         w = _as_finite(self.weights, 1, name="mixture weights")
         mu = _as_finite(self.means, 2, name="mixture means")
         var = _as_finite(self.variances, 2, name="mixture variances")
@@ -59,15 +60,11 @@ class GaussianMixture:
             )
         if abs(float(w.sum()) - 1.0) > 1e-10 or np.any(w < 0):
             raise InputError("weights must be nonnegative and sum to 1")
-        if self.variance_floor <= 0:
-            raise InputError("variance_floor must be positive")
         if np.any(var < self.variance_floor * (1 - 1e-12)):
             raise InputError("variances fall below the variance floor")
-        for arr in (w, mu, var):
-            arr.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "variances", var)
+        _freeze(self, "weights", w)
+        _freeze(self, "means", mu)
+        _freeze(self, "variances", var)
 
     @property
     def dim(self) -> int:
@@ -130,10 +127,12 @@ def fit_gmm_em(
     sample variance. Stops when the relative log-likelihood change drops
     below tol. Returns the mixture and per-iteration diagnostics.
     """
+    _check_count(m, "component count")
+    _check_count(max_iter, "max_iter")
+    _check_real(tol, "tol", gt=0)
+    _check_real(floor_fraction, "floor_fraction", ge=0)
     X = _as_finite(x, 2, name="training data")
     n, d = X.shape
-    if m < 1:
-        raise InputError(f"component count must be >= 1, got {m}")
     if n < m:
         raise InputError(f"need at least {m} rows to fit {m} components, got {n}")
 
@@ -222,10 +221,9 @@ def gmm_supervector(
     pass target_sparsity=None to pool the full posteriors. The posteriors
     of all inputs come from one batched density evaluation.
     """
-    vectors = list(vectors)
-    if len({np.shape(v) for v in vectors}) > 1:
-        raise InputError("input vectors differ in shape")
-    X = _as_finite(vectors, 2, g.dim, "input vectors", nonempty=1)
+    if target_sparsity is not None:
+        _check_real(target_sparsity, "target_sparsity", ge=0, le=1)
+    X = _as_finite(list(vectors), 2, g.dim, "input vectors", nonempty=1)
     log_joint = _log_densities(g.weights, g.means, g.variances, X)
     log_joint -= log_joint.max(axis=1, keepdims=True)
     P = np.exp(log_joint)

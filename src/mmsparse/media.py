@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from scipy.fft import dct
 
-from .errors import InputError, _as_finite, _check_count
+from .errors import InputError, _as_finite, _check_count, _check_real, _freeze
 
 __all__ = [
     "FrameHistogram",
@@ -47,11 +47,12 @@ class FrameHistogram:
     timestamp_s: float
 
     def __post_init__(self):
+        _check_count(self.frame_index, "frame_index", ge=0)
+        _check_real(self.timestamp_s, "timestamp_s", ge=0)
         counts = _as_finite(self.counts, 1, name="histogram counts", nonempty=1)
         if np.any(counts < 0):
             raise InputError("histogram counts must be nonnegative")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        _freeze(self, "counts", counts)
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,9 @@ class AudioClip:
     channels: int = 1
 
     def __post_init__(self):
-        samples = _as_finite(self.samples, 1, name="samples")
-        if self.sample_rate_hz <= 0:
-            raise InputError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
-        if self.channels != 1:
-            raise InputError("AudioClip stores mono audio only")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        _check_count(self.sample_rate_hz, "sample_rate_hz")
+        _check_count(self.channels, "channels", le=1)
+        _freeze(self, "samples", _as_finite(self.samples, 1, name="samples"))
 
     @property
     def duration_s(self) -> float:
@@ -86,16 +83,14 @@ class MfccConfig:
     n_coeffs: int = 16
 
     def __post_init__(self):
-        if not 0 < self.hop <= self.window_len:
-            raise InputError(
-                f"hop must satisfy 0 < hop <= window_len, got {self.hop}, {self.window_len}"
-            )
+        for name in ("window_len", "hop", "mel_filters", "n_coeffs"):
+            _check_count(getattr(self, name), name)
+        if self.hop > self.window_len:
+            raise InputError(f"hop {self.hop} cannot exceed window_len {self.window_len}")
         if self.n_coeffs > self.mel_filters:
             raise InputError(
                 f"n_coeffs {self.n_coeffs} cannot exceed mel_filters {self.mel_filters}"
             )
-        if self.mel_filters < 1:
-            raise InputError("mel_filters must be >= 1")
 
 
 def count_distinct_colors(h: FrameHistogram) -> int:
@@ -112,28 +107,19 @@ def detect_keyframes(
 
     Returns positions (indices into `frames`) of the detected keyframes.
     """
+    _check_real(alpha, "alpha")
+    _check_count(min_colors, "min_colors", ge=0)
     frames = list(frames)
     if len(frames) < 2:
         raise InputError(f"keyframe detection needs >= 2 frames, got {len(frames)}")
 
-    normalized = []
-    for f in frames:
-        total = float(f.counts.sum())
-        normalized.append(f.counts / total if total > 0 else f.counts)
-
-    diffs = np.array(
-        [
-            float(np.sum(np.abs(normalized[i + 1] - normalized[i])))
-            for i in range(len(frames) - 1)
-        ]
-    )
+    counts = _as_finite([f.counts for f in frames], 2, name="frame histograms")
+    totals = counts.sum(axis=1, keepdims=True)
+    normalized = counts / np.where(totals > 0, totals, 1.0)
+    diffs = np.abs(np.diff(normalized, axis=0)).sum(axis=1)
     threshold = float(diffs.mean() + alpha * diffs.std())
-
-    keyframes = []
-    for i, d in enumerate(diffs):
-        if d > threshold and count_distinct_colors(frames[i + 1]) >= min_colors:
-            keyframes.append(i + 1)
-    return keyframes
+    colors = np.count_nonzero(counts[1:] > 0, axis=1)
+    return [int(i) + 1 for i in np.flatnonzero((diffs > threshold) & (colors >= min_colors))]
 
 
 def sample_context_frames(
@@ -146,12 +132,10 @@ def sample_context_frames(
     the keyframe, snapped to the frame grid. Windows that would start
     before zero are shifted to start at zero, keeping the full span.
     """
-    if fps <= 0:
-        raise InputError(f"fps must be > 0, got {fps}")
-    if count < 1:
-        raise InputError(f"count must be >= 1, got {count}")
-    if span_s < 0:
-        raise InputError(f"span must be >= 0, got {span_s}")
+    _check_real(keyframe_ts, "keyframe_ts")
+    _check_real(fps, "fps", gt=0)
+    _check_count(count, "count")
+    _check_real(span_s, "span_s", ge=0)
     start = max(0.0, keyframe_ts - span_s / 2.0)
     times = np.linspace(start, start + span_s, count)
     snapped = np.round(times * fps) / fps
@@ -160,13 +144,10 @@ def sample_context_frames(
 
 def take_left_channel(samples, sample_rate_hz: int, channels: int = 2) -> AudioClip:
     """Keep channel 0 of interleaved stereo input; mono passes through."""
-    raw = np.asarray(samples, dtype=np.float64)
-    if raw.ndim != 1:
-        raise InputError(f"interleaved samples must be 1-D, got shape {raw.shape}")
+    _check_count(channels, "channels", le=2)
+    raw = _as_finite(samples, 1, name="interleaved samples")
     if channels == 1:
         return AudioClip(samples=raw, sample_rate_hz=sample_rate_hz)
-    if channels != 2:
-        raise InputError(f"expected 1 or 2 channels, got {channels}")
     if raw.size % 2 != 0:
         raise InputError("stereo interleaved input must have even length")
     return AudioClip(samples=raw[0::2], sample_rate_hz=sample_rate_hz)
@@ -301,10 +282,9 @@ def tf_agc(
     release_s and gain_floor must be finite and > 0.
     """
     _check_count(n_bands, "n_bands")
-    for name, value in (("attack_s", attack_s), ("release_s", release_s),
-                        ("gain_floor", gain_floor)):
-        if not (np.isfinite(value) and value > 0):
-            raise InputError(f"{name} must be finite and > 0, got {value!r}")
+    _check_real(attack_s, "attack_s", gt=0)
+    _check_real(release_s, "release_s", gt=0)
+    _check_real(gain_floor, "gain_floor", gt=0)
     x = clip.samples
     if x.size == 0:
         return clip
@@ -347,18 +327,18 @@ def mel_filterbank(n_filters: int, n_fft: int, sample_rate_hz: int) -> np.ndarra
     falls to point m+1, with the n_filters + 2 boundary points uniformly
     spaced on the mel scale.
     """
+    _check_count(n_filters, "n_filters")
+    _check_count(n_fft, "n_fft")
+    _check_count(sample_rate_hz, "sample_rate_hz")
     nyquist = sample_rate_hz / 2.0
     mel_points = np.linspace(_hz_to_mel(0.0), _hz_to_mel(nyquist), n_filters + 2)
     hz_points = _mel_to_hz(mel_points)
     bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate_hz / n_fft
 
-    bank = np.zeros((n_filters, bin_freqs.size))
-    for m in range(n_filters):
-        left, center, right = hz_points[m], hz_points[m + 1], hz_points[m + 2]
-        rising = (bin_freqs - left) / (center - left)
-        falling = (right - bin_freqs) / (right - center)
-        bank[m] = np.maximum(0.0, np.minimum(rising, falling))
-    return bank
+    left, center, right = hz_points[:-2, None], hz_points[1:-1, None], hz_points[2:, None]
+    rising = (bin_freqs - left) / (center - left)
+    falling = (right - bin_freqs) / (right - center)
+    return np.maximum(0.0, np.minimum(rising, falling))
 
 
 def delta_coefficients(seq, window: int = 2) -> np.ndarray:
@@ -367,8 +347,7 @@ def delta_coefficients(seq, window: int = 2) -> np.ndarray:
         delta_t = sum_{n=1..window} n (c_{t+n} - c_{t-n}) / (2 sum n^2)
     """
     X = _as_finite(seq, 2, name="delta input", nonempty=1)
-    if window < 1:
-        raise InputError(f"window must be >= 1, got {window}")
+    _check_count(window, "window")
     t = X.shape[0]
     padded = np.concatenate(
         [np.repeat(X[:1], window, axis=0), X, np.repeat(X[-1:], window, axis=0)]

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, _as_finite
+from .errors import InputError, _as_finite, _freeze
 
 __all__ = [
     "RankedList",
@@ -31,16 +31,14 @@ class RankedList:
 
     def __post_init__(self):
         scores = _as_finite(self.scores, 1, name="scores", nonempty=1)
-        relevance = np.asarray(self.relevance, dtype=np.int64)
+        relevance = np.asarray(self.relevance)
         ids = tuple(str(c) for c in self.clip_ids)
         if relevance.shape != scores.shape or len(ids) != scores.size:
             raise InputError("scores, relevance, and clip ids must align")
         if not np.all((relevance == 0) | (relevance == 1)):
             raise InputError("relevance must be binary")
-        scores.setflags(write=False)
-        relevance.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "relevance", relevance)
+        _freeze(self, "scores", scores)
+        _freeze(self, "relevance", relevance.astype(np.int64))
         object.__setattr__(self, "clip_ids", ids)
 
 

@@ -28,7 +28,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .dictlearn import LearnConfig, TrainStats, learn_dictionary
-from .errors import InputError, _as_finite
+from .errors import InputError, _as_finite, _check_count, _check_real
 from .solvers import Dictionary, SolverConfig, SparseCode, lasso_encode
 
 __all__ = [
@@ -52,10 +52,8 @@ class ModalityPair:
     video_dim: int
 
     def __post_init__(self):
-        if self.audio_dim < 1 or self.video_dim < 1:
-            raise InputError(
-                f"modality dims must be >= 1, got ({self.audio_dim}, {self.video_dim})"
-            )
+        _check_count(self.audio_dim, "audio_dim")
+        _check_count(self.video_dim, "video_dim")
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,7 @@ class JointDictionary:
     def __post_init__(self):
         if self.inner.modality_dims is None:
             raise InputError("joint dictionary requires modality_dims")
-        if not (np.isfinite(self.lambda_joint) and self.lambda_joint >= 0):
-            raise InputError(f"lambda_joint must be finite and >= 0, got {self.lambda_joint}")
+        _check_real(self.lambda_joint, "lambda_joint", ge=0)
 
 
 def fuse_input(x_a, x_v) -> np.ndarray:
@@ -99,12 +96,6 @@ def learn_joint(pairs, cfg: LearnConfig) -> Tuple[JointDictionary, TrainStats]:
     pairs = list(pairs)
     if not pairs:
         raise InputError("learn_joint requires at least one (x_a, x_v) pair")
-    first = (np.shape(pairs[0][0]), np.shape(pairs[0][1]))
-    for i, (xa, xv) in enumerate(pairs):
-        if (np.shape(xa), np.shape(xv)) != first:
-            raise InputError(
-                f"pair {i} has shapes ({np.shape(xa)}, {np.shape(xv)}), expected {first}"
-            )
     fused = fuse_rows([xa for xa, _ in pairs], [xv for _, xv in pairs])
     dims = ModalityPair(np.size(pairs[0][0]), np.size(pairs[0][1]))
     d, stats = learn_dictionary(fused, cfg)
@@ -141,8 +132,7 @@ def encode_cross_modal(
 def lambda_joint_of(lambda2: float, dims: ModalityPair) -> float:
     """Fused-space l1 weight matching a per-modality weight lambda2:
     lam' = (1/N_a + 1/N_v) * lam''."""
-    if not (np.isfinite(lambda2) and lambda2 >= 0):
-        raise InputError(f"lambda2 must be finite and >= 0, got {lambda2}")
+    _check_real(lambda2, "lambda2", ge=0)
     return (1.0 / dims.audio_dim + 1.0 / dims.video_dim) * lambda2
 
 

@@ -5,6 +5,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import _check_count
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -21,6 +23,7 @@ def seed_sequence(seed: int, *tags) -> np.random.SeedSequence:
     Distinct tag paths give statistically independent streams; identical
     (seed, tags) always give the identical stream.
     """
+    _check_count(seed, "seed", ge=None)
     entropy = [int(seed) & _MASK64] + [_tag_entropy(t) for t in tags]
     return np.random.SeedSequence(entropy)
 

@@ -37,7 +37,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InputError, _as_finite, _check_count
+from .errors import InputError, _as_finite, _check_count, _check_real, _freeze
 
 __all__ = [
     "Dictionary",
@@ -67,7 +67,7 @@ class Dictionary:
     normalized: bool = True
 
     def __post_init__(self):
-        atoms = np.ascontiguousarray(_as_finite(self.atoms, 2, name="atoms", nonempty=2))
+        atoms = _as_finite(self.atoms, 2, name="atoms", nonempty=2)
         if self.normalized:
             norms = np.linalg.norm(atoms, axis=0)
             worst = float(np.max(np.abs(norms - 1.0)))
@@ -77,14 +77,15 @@ class Dictionary:
                 )
         if self.modality_dims is not None:
             na, nv = self.modality_dims
-            if na < 1 or nv < 1 or na + nv != atoms.shape[0]:
+            _check_count(na, "modality_dims[0]")
+            _check_count(nv, "modality_dims[1]")
+            if na + nv != atoms.shape[0]:
                 raise InputError(
                     f"modality_dims {self.modality_dims} do not sum to input dim "
                     f"{atoms.shape[0]}"
                 )
             object.__setattr__(self, "modality_dims", (int(na), int(nv)))
-        atoms.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
+        _freeze(self, "atoms", atoms)
 
     @property
     def input_dim(self) -> int:
@@ -107,9 +108,7 @@ class SparseCode:
     converged: bool = True
 
     def __post_init__(self):
-        coeffs = _as_finite(np.ascontiguousarray(self.coeffs), 1, name="coeffs")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        _freeze(self, "coeffs", _as_finite(self.coeffs, 1, name="coeffs"))
 
     @property
     def support(self) -> Tuple[int, ...]:
@@ -133,10 +132,8 @@ class SolverConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise InputError(f"lam must be >= 0, got {self.lam}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise InputError(f"tol must be finite and > 0, got {self.tol}")
+        _check_real(self.lam, "lam", ge=0)
+        _check_real(self.tol, "tol", gt=0)
         _check_count(self.max_iter, "max_iter")
 
 
@@ -152,6 +149,7 @@ def _example_and_code(x, d: Dictionary, y) -> Tuple[np.ndarray, np.ndarray]:
 
 def lasso_objective(x, d: Dictionary, y, lam: float) -> float:
     """Value of ||x - D y||^2 + lam * ||y||_1."""
+    _check_real(lam, "lam", ge=0)
     x, coeffs = _example_and_code(x, d, y)
     r = x - d.atoms @ coeffs
     return float(r @ r + lam * np.sum(np.abs(coeffs)))
@@ -166,6 +164,7 @@ def _kkt(corr: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
 
 def kkt_violation(x, d: Dictionary, y, lam: float) -> float:
     """Maximum violation of the LASSO optimality conditions; 0 iff optimal."""
+    _check_real(lam, "lam", ge=0)
     x, coeffs = _example_and_code(x, d, y)
     corr = 2.0 * (d.atoms.T @ (x - d.atoms @ coeffs))
     return float(_kkt(corr, coeffs, lam))
@@ -376,9 +375,7 @@ def omp_encode(x, d: Dictionary, s: int) -> SparseCode:
     dropped and the result is flagged converged=False).
     """
     x = _as_finite(x, 1, d.input_dim)
-    s = int(s)
-    if s < 0:
-        raise InputError(f"sparsity bound must be >= 0, got {s}")
+    _check_count(s, "sparsity bound", ge=0)
     if s > d.atom_count:
         raise InputError(f"sparsity bound {s} exceeds atom count {d.atom_count}")
 

@@ -82,13 +82,19 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_record(path, entries: Dict[str, object]) -> None:
-    """Write a key-value record, keys sorted for byte determinism."""
+    """Write a key-value record, keys sorted for byte determinism; floats
+    as repr, other values as str. An entry that load_record would not read
+    back unchanged is an InputError, and nothing is written."""
     lines = []
     for key in sorted(entries):
         value = entries[key]
-        if isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key}={value}")
+        text = repr(value) if isinstance(value, float) else str(value)
+        line = f"{key}={text}"
+        if (not isinstance(key, str) or "=" in key or key.startswith("#")
+                or key != key.strip() or text != text.strip()
+                or line.splitlines() != [line]):
+            raise InputError(f"record entry {key!r}: {text!r} would not read back unchanged")
+        lines.append(line)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

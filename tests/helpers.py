@@ -134,3 +134,36 @@ def assert_matches_tf_agc_reference(x, fs, **kwargs):
     scale = max(1.0, float(np.max(np.abs(ref), initial=0.0)))
     err = float(np.max(np.abs(got - ref), initial=0.0))
     assert err <= 1e-12 * scale, (err, scale)
+
+
+def mel_filterbank_reference(n_filters, n_fft, sample_rate_hz) -> np.ndarray:
+    """Triangular mel filterbank built one filter at a time."""
+    mel = lambda f: 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
+    mel_points = np.linspace(mel(0.0), mel(sample_rate_hz / 2.0), n_filters + 2)
+    hz_points = 700.0 * (10.0 ** (mel_points / 2595.0) - 1.0)
+    bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate_hz / n_fft
+    bank = np.zeros((n_filters, bin_freqs.size))
+    for m in range(n_filters):
+        left, center, right = hz_points[m], hz_points[m + 1], hz_points[m + 2]
+        rising = (bin_freqs - left) / (center - left)
+        falling = (right - bin_freqs) / (right - center)
+        bank[m] = np.maximum(0.0, np.minimum(rising, falling))
+    return bank
+
+
+def detect_keyframes_reference(frames, alpha=1.0, min_colors=26):
+    """Two-pass keyframe detection with one histogram difference per
+    successive pair of frames."""
+    normalized = []
+    for f in frames:
+        total = float(f.counts.sum())
+        normalized.append(f.counts / total if total > 0 else f.counts)
+    diffs = np.array(
+        [float(np.sum(np.abs(normalized[i + 1] - normalized[i]))) for i in range(len(frames) - 1)]
+    )
+    threshold = float(diffs.mean() + alpha * diffs.std())
+    return [
+        i + 1
+        for i, d in enumerate(diffs)
+        if d > threshold and np.count_nonzero(frames[i + 1].counts > 0) >= min_colors
+    ]

@@ -47,9 +47,11 @@ class TestLearnConfig:
             ("lam", float("nan")),
             ("lam", float("inf")),
             ("lam", -0.1),
+            ("lam", True),
             ("objective_tol", float("inf")),
             ("objective_tol", float("nan")),
             ("objective_tol", 0.0),
+            ("objective_tol", True),
         ],
     )
     def test_bad_setting_rejected(self, field, value):

@@ -1,6 +1,10 @@
 """Every public entry point that takes a numeric array rejects a non-finite
-value and a wrong number of dimensions with InputError."""
+value and a wrong number of dimensions with InputError; every public
+scalar setting rejects a non-finite or out-of-range value, and a count also
+a fraction and a bool. Frozen dataclasses keep copies of the arrays they
+are given."""
 
+import math
 import os
 from dataclasses import replace
 
@@ -13,6 +17,7 @@ from mmsparse.classify import (
     cross_validate,
     decision_score,
     predict_event,
+    stratified_folds,
     svm_objective,
     train_event_models,
     train_svm,
@@ -34,12 +39,25 @@ from mmsparse.features import (
     pool_clip,
 )
 from mmsparse.gmm import fit_gmm_em, gmm_supervector, posteriors
-from mmsparse.media import AudioClip, FrameHistogram, delta_coefficients, take_left_channel
+from mmsparse.media import (
+    AudioClip,
+    FrameHistogram,
+    MfccConfig,
+    delta_coefficients,
+    detect_keyframes,
+    mel_filterbank,
+    sample_context_frames,
+    take_left_channel,
+    tf_agc,
+)
 from mmsparse.metrics import RankedList
 from mmsparse.multimodal import (
+    JointDictionary,
+    ModalityPair,
     encode_cross_modal,
     fuse_input,
     fuse_rows,
+    lambda_joint_of,
     learn_joint,
     union_features,
 )
@@ -145,3 +163,151 @@ def test_bad_array_raises_input_error(name, fault):
         bad = bad[None]
     with pytest.raises(InputError):
         call(bad)
+
+
+IDS = ("p", "q", "r", "s")
+FRAMES = [FrameHistogram(np.arange(8.0) ** i, i, i / 25.0) for i in range(4)]
+CLIP = AudioClip(_rng.standard_normal(256), 22050)
+JOINT = Dictionary(np.eye(3), modality_dims=(1, 2))
+
+# name -> (an accepted value, a call that passes its argument in that
+# setting, a value outside the setting's documented range or None when
+# every finite value is accepted). An int accepted value marks a count.
+SETTINGS = {
+    "SolverConfig:lam": (0.1, lambda v: SolverConfig(lam=v), -0.1),
+    "SolverConfig:tol": (1e-8, lambda v: SolverConfig(0.1, tol=v), 0.0),
+    "SolverConfig:max_iter": (10, lambda v: SolverConfig(0.1, max_iter=v), 0),
+    "lasso_objective:lam": (0.1, lambda v: lasso_objective(x, D, y, v), -0.1),
+    "kkt_violation:lam": (0.1, lambda v: kkt_violation(x, D, y, v), -0.1),
+    "omp_encode:s": (2, lambda v: omp_encode(x, D, v), -1),
+    "Dictionary:modality_dims": (1, lambda v: Dictionary(np.eye(3), modality_dims=(v, 3 - v)), 0),
+    "LinearSvm:bias": (0.0, lambda v: LinearSvm(np.ones(4), v, 1.0), None),
+    "LinearSvm:c": (1.0, lambda v: LinearSvm(np.ones(4), 0.0, v), 0.0),
+    "train_svm:c": (1.0, lambda v: train_svm(X, LABELS, v), 0.0),
+    "train_svm:tol": (1e-9, lambda v: train_svm(X, LABELS, 1.0, tol=v), 0.0),
+    "train_svm:max_steps": (100, lambda v: train_svm(X, LABELS, 1.0, max_steps=v), 0),
+    "train_event_models:c": (1.0, lambda v: train_event_models(X, EVENTS, v), 0.0),
+    "stratified_folds:folds": (2, lambda v: stratified_folds(EVENTS, v, 0), 1),
+    "stratified_folds:seed": (0, lambda v: stratified_folds(EVENTS, 2, v), None),
+    "cross_validate:folds": (2, lambda v: cross_validate(X, EVENTS, [1.0], folds=v), 1),
+    "cross_validate:c_grid": (1.0, lambda v: cross_validate(X, EVENTS, [v], folds=2), 0.0),
+    "LearnConfig:atom_count": (3, lambda v: replace(LEARN, atom_count=v), 0),
+    "LearnConfig:lam": (0.1, lambda v: replace(LEARN, lam=v), -0.1),
+    "LearnConfig:epochs": (1, lambda v: replace(LEARN, epochs=v), 0),
+    "LearnConfig:seed": (0, lambda v: replace(LEARN, seed=v), None),
+    "LearnConfig:objective_tol": (1e-6, lambda v: replace(LEARN, objective_tol=v), 0.0),
+    "LearnConfig:solver_tol": (1e-8, lambda v: replace(LEARN, solver_tol=v), 0.0),
+    "LearnConfig:solver_max_iter": (10, lambda v: replace(LEARN, solver_max_iter=v), 0),
+    "init_dictionary:k": (3, lambda v: init_dictionary(X, v, seed=0), 0),
+    "init_dictionary:seed": (0, lambda v: init_dictionary(X, 3, seed=v), None),
+    "coding_objective:lam": (0.1, lambda v: coding_objective(X, D, Y, v), -0.1),
+    "replace_dead_atoms:seed": (0, lambda v: replace_dead_atoms(D, np.zeros(3), X, v, Y), None),
+    "WhiteningTransform:out_dim": (2, lambda v: replace(WHITEN, out_dim=v), 0),
+    "WhiteningTransform:epsilon": (1e-5, lambda v: replace(WHITEN, epsilon=v), -1.0),
+    "fit_whitening:d": (2, lambda v: fit_whitening(X, v), 0),
+    "fit_whitening:eps": (1e-5, lambda v: fit_whitening(X, 2, eps=v), -1.0),
+    "GaussianMixture:variance_floor": (
+        GMM.variance_floor, lambda v: replace(GMM, variance_floor=v), 0.0),
+    "fit_gmm_em:m": (2, lambda v: fit_gmm_em(X, v, max_iter=2), 0),
+    "fit_gmm_em:max_iter": (2, lambda v: fit_gmm_em(X, 2, max_iter=v), 0),
+    "fit_gmm_em:tol": (1e-6, lambda v: fit_gmm_em(X, 2, max_iter=2, tol=v), 0.0),
+    "fit_gmm_em:floor_fraction": (
+        1e-4, lambda v: fit_gmm_em(X, 2, max_iter=2, floor_fraction=v), -1.0),
+    "fit_gmm_em:seed": (0, lambda v: fit_gmm_em(X, 2, seed=v, max_iter=2), None),
+    "gmm_supervector:target_sparsity": (
+        0.1, lambda v: gmm_supervector(GMM, X, target_sparsity=v), -1.0),
+    "FrameHistogram:frame_index": (0, lambda v: FrameHistogram(np.ones(8), v, 0.0), -1),
+    "FrameHistogram:timestamp_s": (0.0, lambda v: FrameHistogram(np.ones(8), 0, v), -1.0),
+    "AudioClip:sample_rate_hz": (22050, lambda v: AudioClip(np.zeros(64), v), 0),
+    "AudioClip:channels": (1, lambda v: AudioClip(np.zeros(64), 22050, v), 2),
+    "MfccConfig:window_len": (1024, lambda v: MfccConfig(window_len=v), 0),
+    "MfccConfig:hop": (512, lambda v: MfccConfig(hop=v), 0),
+    "MfccConfig:mel_filters": (40, lambda v: MfccConfig(mel_filters=v), 0),
+    "MfccConfig:n_coeffs": (16, lambda v: MfccConfig(n_coeffs=v), 0),
+    "detect_keyframes:alpha": (1.0, lambda v: detect_keyframes(FRAMES, alpha=v), None),
+    "detect_keyframes:min_colors": (26, lambda v: detect_keyframes(FRAMES, min_colors=v), -1),
+    "sample_context_frames:keyframe_ts": (1.0, lambda v: sample_context_frames(v, 25.0), None),
+    "sample_context_frames:fps": (25.0, lambda v: sample_context_frames(1.0, v), 0.0),
+    "sample_context_frames:count": (2, lambda v: sample_context_frames(1.0, 25.0, count=v), 0),
+    "sample_context_frames:span_s": (
+        1.0, lambda v: sample_context_frames(1.0, 25.0, span_s=v), -1.0),
+    "take_left_channel:sample_rate_hz": (
+        22050, lambda v: take_left_channel(np.zeros(64), v, channels=2), 0),
+    "take_left_channel:channels": (
+        2, lambda v: take_left_channel(np.zeros(64), 22050, channels=v), 3),
+    "tf_agc:n_bands": (8, lambda v: tf_agc(CLIP, n_bands=v), 0),
+    "tf_agc:attack_s": (0.025, lambda v: tf_agc(CLIP, attack_s=v), 0.0),
+    "tf_agc:release_s": (0.25, lambda v: tf_agc(CLIP, release_s=v), 0.0),
+    "tf_agc:gain_floor": (1e-6, lambda v: tf_agc(CLIP, gain_floor=v), 0.0),
+    "mel_filterbank:n_filters": (40, lambda v: mel_filterbank(v, 1024, 22050), 0),
+    "mel_filterbank:n_fft": (1024, lambda v: mel_filterbank(40, v, 22050), 0),
+    "mel_filterbank:sample_rate_hz": (22050, lambda v: mel_filterbank(40, 1024, v), 0),
+    "delta_coefficients:window": (2, lambda v: delta_coefficients(X, window=v), 0),
+    "RankedList:relevance": (1.0, lambda v: RankedList(x, [v, 0, 1, 0], IDS), 0.5),
+    "ModalityPair:audio_dim": (2, lambda v: ModalityPair(v, 3), 0),
+    "ModalityPair:video_dim": (3, lambda v: ModalityPair(2, v), 0),
+    "JointDictionary:lambda_joint": (0.1, lambda v: JointDictionary(JOINT, v), -0.1),
+    "encode_cross_modal:lambda2": (0.1, lambda v: encode_cross_modal(x, D, v), -0.1),
+    "encode_cross_modal:tol": (1e-8, lambda v: encode_cross_modal(x, D, 0.1, tol=v), 0.0),
+    "encode_cross_modal:max_iter": (
+        10, lambda v: encode_cross_modal(x, D, 0.1, max_iter=v), 0),
+    "lambda_joint_of:lambda2": (0.1, lambda v: lambda_joint_of(v, ModalityPair(2, 3)), -0.1),
+}
+
+
+def _bad_values(good, out_of_range):
+    bad = {"nan": math.nan, "inf": math.inf}
+    if out_of_range is not None:
+        bad["range"] = out_of_range
+    if isinstance(good, int):
+        bad.update(fraction=good + 0.5, bool=True)
+    return bad
+
+
+BAD_SETTINGS = [
+    pytest.param(name, value, id=f"{name}-{fault}")
+    for name, (good, _, out_of_range) in sorted(SETTINGS.items())
+    for fault, value in _bad_values(good, out_of_range).items()
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_SETTINGS)
+def test_bad_setting_raises_input_error(name, value):
+    good, call, _ = SETTINGS[name]
+    call(good)  # the accepted value passes, so only the bad value is tested
+    with pytest.raises(InputError):
+        call(value)
+
+
+# name -> (an accepted array, a call that stores it in a frozen dataclass,
+# the field that holds it)
+FIELDS = {
+    "Dictionary": (D.atoms, lambda a: Dictionary(a), "atoms"),
+    "SparseCode": (y, lambda a: SparseCode(a), "coeffs"),
+    "LinearSvm": (np.ones(4), lambda a: LinearSvm(a, 0.0, 1.0), "weights"),
+    "FrameHistogram": (np.ones(8), lambda a: FrameHistogram(a, 0, 0.0), "counts"),
+    "AudioClip": (np.zeros(64), lambda a: AudioClip(a, 22050), "samples"),
+    "GaussianMixture:weights": (GMM.weights, lambda a: replace(GMM, weights=a), "weights"),
+    "GaussianMixture:means": (GMM.means, lambda a: replace(GMM, means=a), "means"),
+    "GaussianMixture:variances": (GMM.variances, lambda a: replace(GMM, variances=a), "variances"),
+    "WhiteningTransform:mean": (WHITEN.mean, lambda a: replace(WHITEN, mean=a), "mean"),
+    "WhiteningTransform:basis": (WHITEN.basis, lambda a: replace(WHITEN, basis=a), "basis"),
+    "WhiteningTransform:scales": (WHITEN.scales, lambda a: replace(WHITEN, scales=a), "scales"),
+    "PooledFeature": (y, lambda a: PooledFeature(a, "c", "audio"), "values"),
+    "RankedList:scores": (x, lambda a: RankedList(a, [1, 0, 1, 0], IDS), "scores"),
+    "RankedList:relevance": (np.array([1, 0, 1, 0]), lambda a: RankedList(x, a, IDS), "relevance"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_frozen_field_is_a_private_copy(name):
+    good, build, field = FIELDS[name]
+    base = np.array(good)  # the caller's array
+    given = base[...]  # a view of it, passed in
+    stored = getattr(build(given), field)
+    kept = stored.copy()
+    assert given.flags.writeable and base.flags.writeable
+    assert not stored.flags.writeable
+    given.flat[0] += 1
+    base.flat[-1] += 1
+    np.testing.assert_array_equal(stored, kept)

@@ -1,0 +1,117 @@
+"""Property tests of invariants the docstrings state: the matrix-file and
+record round trips (storage), the range of average precision (metrics) and
+the fuse/split objective identity (multimodal).
+
+Kept apart from the unit tests so that a checkout without hypothesis still
+collects those."""
+
+import math
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from mmsparse.errors import InputError
+from mmsparse.metrics import RankedList, average_precision
+from mmsparse.multimodal import (
+    JointDictionary,
+    ModalityPair,
+    fuse_input,
+    lambda_joint_of,
+    split_joint,
+)
+from mmsparse.solvers import lasso_objective
+from mmsparse.storage import load_matrix, load_record, save_matrix, save_record
+
+from helpers import unit_column_dictionary
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+        elements=st.floats(-F32_MAX, F32_MAX),
+    )
+)
+def test_matrix_file_round_trip_is_bit_exact_after_float32_cast(matrix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.scmx")
+        save_matrix(path, matrix)
+        loaded = load_matrix(path)
+    want = matrix.astype(np.float32).astype(np.float64)
+    assert loaded.dtype == np.float64 and loaded.shape == matrix.shape
+    assert loaded.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=6))
+def test_record_round_trip(entries):
+    """save_record either refuses a record or writes one that load_record
+    reads back unchanged; it refuses none whose keys are one-line,
+    stripped, free of "=" and not comments, and whose values are one-line
+    and stripped."""
+    one_line = lambda s: len(s.splitlines()) <= 1 and s == s.strip()
+    plain = all(
+        one_line(k) and "=" not in k and not k.startswith("#") and one_line(v)
+        for k, v in entries.items()
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.meta")
+        try:
+            save_record(path, entries)
+        except InputError:
+            assert not plain
+            return
+        assert load_record(path) == entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-1e6, 1e6), st.booleans()), min_size=1, max_size=20
+    ),
+    st.booleans(),
+)
+def test_average_precision_range_and_perfect_ranking(items, separate):
+    """AP lies in [0, 1]; when every relevant clip scores above every
+    irrelevant one, AP is 1 (given at least one relevant clip)."""
+    scores = np.array([s for s, _ in items])
+    relevance = np.array([r for _, r in items], dtype=np.int64)
+    if separate:
+        # irrelevant clips move below the lowest relevant score
+        scores = np.where(relevance == 1, scores, scores - 3e6)
+    ids = tuple(f"c{i:02d}" for i in range(len(items)))
+    ap = average_precision(RankedList(scores, relevance, ids))
+    assert 0.0 <= ap <= 1.0
+    if separate and relevance.any():
+        assert ap == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    na=st.integers(1, 6),
+    nv=st.integers(1, 6),
+    k=st.integers(1, 8),
+    lambda2=st.floats(0.0, 10.0),
+)
+def test_fused_objective_splits_by_modality(seed, na, nv, k, lambda2):
+    """||x_av - D_av y||^2 + lam' ||y||_1 equals
+    (1/N_a)(||x_a - D_a y||^2 + lam'' ||y||_1) + (1/N_v)(same for video)
+    with lam' = lambda_joint_of(lam'') and D_a, D_v from split_joint."""
+    rng = np.random.default_rng(seed)
+    jd = JointDictionary(unit_column_dictionary(rng, na + nv, k, (na, nv)), lambda_joint=0.0)
+    d_a, d_v = split_joint(jd)
+    x_a, x_v = rng.standard_normal(na), rng.standard_normal(nv)
+    y = rng.standard_normal(k) * (rng.random(k) < 0.5)
+    lam_joint = lambda_joint_of(lambda2, ModalityPair(na, nv))
+    fused = lasso_objective(fuse_input(x_a, x_v), jd.inner, y, lam_joint)
+    split = (lasso_objective(x_a, d_a, y, lambda2) / na
+             + lasso_objective(x_v, d_v, y, lambda2) / nv)
+    assert math.isclose(fused, split, rel_tol=1e-12, abs_tol=1e-12)

@@ -21,7 +21,11 @@ from mmsparse.media import (
     tf_agc,
 )
 
-from helpers import assert_matches_tf_agc_reference
+from helpers import (
+    assert_matches_tf_agc_reference,
+    detect_keyframes_reference,
+    mel_filterbank_reference,
+)
 
 FS = 22050
 
@@ -72,6 +76,21 @@ class TestDetectKeyframes:
     def test_too_few_frames(self):
         with pytest.raises(InputError):
             detect_keyframes([hist(colorful(8, 4))])
+
+    def test_histograms_of_different_lengths_rejected(self):
+        with pytest.raises(InputError):
+            detect_keyframes([hist(colorful(8, 4)), hist(colorful(1, 1))])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("alpha, min_colors", [(1.0, 26), (0.0, 0), (-0.5, 10), (2.0, 40)])
+    def test_matches_per_pair_reference(self, seed, alpha, min_colors):
+        rng = np.random.default_rng(seed)
+        frames = []
+        for i in range(int(rng.integers(2, 80))):
+            counts = rng.random(48) * rng.integers(1, 1000) * (rng.random(48) < rng.random())
+            frames.append(hist(counts, i, i / 25.0))
+        got = detect_keyframes(frames, alpha=alpha, min_colors=min_colors)
+        assert got == detect_keyframes_reference(frames, alpha=alpha, min_colors=min_colors)
 
 
 class TestCountDistinctColors:
@@ -256,6 +275,13 @@ class TestTfAgcParameters:
 
 
 class TestMelFilterbank:
+    @pytest.mark.parametrize(
+        "n_filters, n_fft, rate", [(40, 1024, 22050), (1, 64, 8000), (26, 512, 16000), (80, 2048, 44100)]
+    )
+    def test_matches_per_filter_reference(self, n_filters, n_fft, rate):
+        got, want = mel_filterbank(n_filters, n_fft, rate), mel_filterbank_reference(n_filters, n_fft, rate)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_nonnegative(self):
         bank = mel_filterbank(40, 1024, FS)
         assert bank.shape == (40, 513)

@@ -82,6 +82,24 @@ class TestRecords:
         save_record(p2, {"a": 2, "b": 1})
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"a=b": "c"},
+            {"k": "two\nlines"},
+            {"k": "carriage\rreturn"},
+            {"k": " padded "},
+            {" k": "v"},
+            {"#k": "v"},
+            {1: "v"},
+        ],
+    )
+    def test_entry_that_would_not_read_back_rejected(self, tmp_path, entries):
+        p = tmp_path / "r.meta"
+        with pytest.raises(InputError):
+            save_record(p, entries)
+        assert not p.exists()
+
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "bad.meta"
         p.write_text("not a record\n")

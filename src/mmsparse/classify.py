@@ -5,17 +5,17 @@ The per-event problem is the primal L2-regularized hinge loss
     J(w, b) = 1/2 ||w||^2 + c * sum_i max(0, 1 - y_i (w^T x_i + b))
 
 with an explicit unregularized bias. It is solved exactly through its
-dual,
+dual in beta = y * alpha (Platt's SMO in the form of Fan, Chen & Lin, 2005),
 
-    min_a  1/2 a^T Q a - 1^T a,   0 <= a <= c,  y^T a = 0,
-    Q_ij = y_i y_j x_i^T x_j,
+    min_b  1/2 b^T K b - y^T b,   min(0, y_i c) <= b_i <= max(0, y_i c),
+    sum_i b_i = 0,   K = X X^T,
 
 by deterministic most-violating-pair coordinate updates (each step is an
 exact two-variable minimization, so the dual objective is monotonically
-non-increasing). The primal solution is w = X^T (a * y) with the bias
-read off the free support vectors. Training is deterministic: pair
-selection breaks ties by lowest index and uses no randomness (the seed
-parameter only feeds fold shuffling in cross-validation).
+non-increasing). The primal solution is w = X^T b with the bias read off
+the free support vectors. Training is deterministic: pair selection
+breaks ties by lowest index and uses no randomness (the seed parameter
+only feeds fold shuffling in cross-validation).
 """
 
 from dataclasses import dataclass
@@ -44,9 +44,9 @@ __all__ = [
 class LinearSvm:
     """Trained separating hyperplane for one event.
 
-    `converged` is False when training stopped with the dual's
-    max-violating-pair gap still at or above its tolerance (step budget
-    exhausted, or no pair could move).
+    `converged` is False when training stopped with the max-violating-pair
+    gap of the dual in beta = y * alpha still at or above its tolerance
+    (step budget exhausted, or no pair could move).
     """
 
     weights: np.ndarray
@@ -92,24 +92,26 @@ def _smo(
     c: float,
     tol: float,
     max_steps: int,
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Most-violating-pair dual coordinate optimization over at most
-    max_steps pair updates; returns (alpha, dual gradient, gap), where gap
-    is the max-violating-pair gap at the returned alpha (-inf when no pair
-    can move)."""
-    n = y.shape[0]
-    Q = gram * np.outer(y, y)
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # Q @ alpha - 1
-    pos = y > 0
-    gap = np.inf  # nothing measured yet
+) -> Tuple[np.ndarray, float, float]:
+    """Most-violating-pair dual coordinate optimization in beta = y * alpha
+    within lo <= beta <= hi, over at most max_steps pair updates; returns
+    (beta, bias, gap), where gap is the max-violating-pair gap at the
+    returned beta. The bias is the mean of y - K beta over the free set
+    (lo < beta < hi), or the midpoint of the last pair's values when no
+    beta is free.
+
+    Each step moves beta_i up and beta_j down by the same t, so sum(beta)
+    stays 0 up to rounding. Neither candidate set can therefore be empty
+    while both classes are present: all beta at hi would sum to
+    c * (#positives) > 0, all at lo to -c * (#negatives) < 0.
+    """
+    lo = np.minimum(0.0, y * c)
+    hi = np.maximum(0.0, y * c)
+    beta = np.zeros(y.shape[0])
+    mg = y.copy()  # y - K beta
     for step in range(max_steps + 1):
-        mg = -y * grad
-        up = np.where(pos, alpha < c, alpha > 0)
-        low = np.where(pos, alpha > 0, alpha < c)
-        if not up.any() or not low.any():
-            gap = -np.inf
-            break
+        up = beta < hi
+        low = beta > lo
         mg_up = np.where(up, mg, -np.inf)
         mg_low = np.where(low, mg, np.inf)
         i = int(np.argmax(mg_up))
@@ -117,32 +119,26 @@ def _smo(
         gap = float(mg_up[i] - mg_low[j])
         if gap < tol or step == max_steps:
             break
-        si, sj = y[i], y[j]
-        quad = max(Q[i, i] + Q[j, j] - 2.0 * si * sj * Q[i, j], 1e-12)
-        t = -(si * grad[i] - sj * grad[j]) / quad
-        lo_i, hi_i = sorted(((0.0 - alpha[i]) * si, (c - alpha[i]) * si))
-        lo_j, hi_j = sorted(((alpha[j] - c) * sj, alpha[j] * sj))
-        t = min(max(t, max(lo_i, lo_j)), min(hi_i, hi_j))
+        quad = max(gram[i, i] + gram[j, j] - 2.0 * gram[i, j], 1e-12)
+        t = min(gap / quad, hi[i] - beta[i], beta[j] - lo[j])
         if t == 0.0:
             break
-        d_i, d_j = si * t, -sj * t
-        alpha[i] = min(max(alpha[i] + d_i, 0.0), c)
-        alpha[j] = min(max(alpha[j] + d_j, 0.0), c)
-        grad += Q[:, i] * d_i + Q[:, j] * d_j
-    return alpha, grad, gap
+        beta[i] = min(beta[i] + t, hi[i])
+        beta[j] = max(beta[j] - t, lo[j])
+        mg -= t * (gram[:, i] - gram[:, j])
+    free = up & low
+    bias = np.mean(mg[free]) if free.any() else 0.5 * (mg_up[i] + mg_low[j])
+    return beta, float(bias), gap
 
 
-def _bias_from_dual(alpha, grad, y, c) -> float:
-    mg = -y * grad
-    free = np.flatnonzero((alpha > 1e-12 * c) & (alpha < c * (1.0 - 1e-12)))
-    if free.size:
-        return float(np.mean(mg[free]))
-    pos = y > 0
-    up = np.where(pos, alpha < c, alpha > 0)
-    low = np.where(pos, alpha > 0, alpha < c)
-    hi = float(np.max(mg[up])) if up.any() else 0.0
-    lo = float(np.min(mg[low])) if low.any() else 0.0
-    return 0.5 * (hi + lo)
+def _as_labels(labels, rows: int) -> np.ndarray:
+    """labels as one +1 or -1 per row, or InputError."""
+    y = _as_finite(labels, 1, name="labels")
+    if y.shape[0] != rows:
+        raise InputError(f"{y.shape[0]} labels for {rows} rows")
+    if not np.all(np.abs(y) == 1.0):
+        raise InputError("labels must be +1 or -1")
+    return y
 
 
 def train_svm(
@@ -156,8 +152,9 @@ def train_svm(
     """Train one binary SVM on +/-1 labels.
 
     The SMO runs at most `max_steps` pair updates (default
-    max(200 n, 20000)). When the returned model has converged=True it is
-    the optimizer of the hinge objective up to `tol` in the dual's
+    max(200 n, 20000)) on the dual in beta = y * alpha, and the weights
+    are X^T beta. When the returned model has converged=True it is the
+    optimizer of the hinge objective up to `tol` in the dual's
     max-violating-pair gap; with converged=False the gap was still >= `tol`
     when SMO stopped, and the model is its last iterate. The result does
     not depend on `seed`.
@@ -167,27 +164,19 @@ def train_svm(
     if max_steps is not None:
         _check_count(max_steps, "max_steps")
     X = _as_finite(x, 2, name="features", nonempty=1)
-    y = np.asarray(labels, dtype=np.float64)
-    if y.shape != (X.shape[0],):
-        raise InputError(f"labels shape {y.shape} does not match {X.shape[0]} rows")
-    if not np.all(np.abs(y) == 1.0):
-        raise InputError("labels must be +1 or -1")
+    y = _as_labels(labels, X.shape[0])
     if np.all(y == 1.0) or np.all(y == -1.0):
         raise InputError("training requires at least one example of each class")
 
-    gram = X @ X.T
-    n = X.shape[0]
-    budget = max_steps if max_steps is not None else max(200 * n, 20000)
-    alpha, grad, gap = _smo(gram, y, c, tol, budget)
-    w = X.T @ (alpha * y)
-    b = _bias_from_dual(alpha, grad, y, c)
-    return LinearSvm(weights=w, bias=b, c=c, converged=gap < tol)
+    budget = max_steps if max_steps is not None else max(200 * X.shape[0], 20000)
+    beta, bias, gap = _smo(X @ X.T, y, c, tol, budget)
+    return LinearSvm(weights=X.T @ beta, bias=bias, c=c, converged=gap < tol)
 
 
 def svm_objective(m: LinearSvm, x, labels) -> float:
     """Primal hinge objective of a model on a labeled set."""
     X = _as_finite(x, 2, name="features", nonempty=1)
-    y = np.asarray(labels, dtype=np.float64)
+    y = _as_labels(labels, X.shape[0])
     margins = y * (X @ m.weights + m.bias)
     return float(0.5 * m.weights @ m.weights + m.c * np.sum(np.maximum(0.0, 1.0 - margins)))
 
@@ -241,6 +230,8 @@ def stratified_folds(labels: Sequence, folds: int, seed: int) -> Tuple[np.ndarra
     """
     labels = [str(v) for v in labels]
     _check_count(folds, "folds", ge=2)
+    if not labels:
+        raise InputError("cross-validation needs labels")
     counts: Dict[str, int] = {}
     for v in labels:
         counts[v] = counts.get(v, 0) + 1
@@ -277,6 +268,8 @@ def cross_validate(
         _check_real(c, "c grid value", gt=0)
     grid = [float(c) for c in grid]
     labels = [str(v) for v in labels]
+    if len(labels) != X.shape[0]:
+        raise InputError(f"{len(labels)} labels for {X.shape[0]} rows")
     assignment, folds_used, reduced = stratified_folds(labels, folds, seed)
 
     mean_acc: Dict[float, float] = {}

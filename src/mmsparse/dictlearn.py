@@ -109,7 +109,7 @@ def dictionary_update_step(examples, codes, d: Dictionary) -> Dictionary:
 
     Unused atoms (zero code mass) are left unchanged. The total
     reconstruction error after the pass is checked to be no larger than
-    before it (1e-9 slack).
+    before it (slack 1e-9 of max(1, error before), the rounding room).
     """
     X = _as_finite(examples, 2, d.input_dim, "examples", nonempty=2)
     Y = _as_codes(codes, X.shape[0], d.atom_count)
@@ -132,7 +132,7 @@ def dictionary_update_step(examples, codes, d: Dictionary) -> Dictionary:
 
     after = X - Y @ atoms.T
     err_after = float(np.sum(after * after))
-    if err_after > err_before + 1e-9:
+    if err_after > err_before + 1e-9 * max(1.0, err_before):
         raise MmsparseError(
             f"dictionary update increased reconstruction error: "
             f"{err_before} -> {err_after}"
@@ -155,11 +155,7 @@ def replace_dead_atoms(
     comes from `codes`.
     """
     X = _as_finite(examples, 2, name="examples", nonempty=2)
-    usage = np.asarray(usage)
-    if usage.shape != (d.atom_count,):
-        raise InputError(
-            f"usage has shape {usage.shape}, expected ({d.atom_count},)"
-        )
+    usage = _as_finite(usage, 1, d.atom_count, "usage")
     dead = np.flatnonzero(usage == 0)
     if dead.size == 0:
         return d, 0

@@ -2,6 +2,7 @@
 implementations kept deliberately independent of the library code paths."""
 
 import math
+from typing import Tuple
 
 import numpy as np
 
@@ -167,3 +168,72 @@ def detect_keyframes_reference(frames, alpha=1.0, min_colors=26):
         for i, d in enumerate(diffs)
         if d > threshold and np.count_nonzero(frames[i + 1].counts > 0) >= min_colors
     ]
+
+
+def smo_reference(
+    gram: np.ndarray,
+    y: np.ndarray,
+    c: float,
+    tol: float,
+    max_steps: int,
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Most-violating-pair dual coordinate optimization over at most
+    max_steps pair updates; returns (alpha, dual gradient, gap), where gap
+    is the max-violating-pair gap at the returned alpha (-inf when no pair
+    can move).
+
+    The alpha-form SMO that classify._smo restates in beta = y * alpha."""
+    n = y.shape[0]
+    Q = gram * np.outer(y, y)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # Q @ alpha - 1
+    pos = y > 0
+    gap = np.inf  # nothing measured yet
+    for step in range(max_steps + 1):
+        mg = -y * grad
+        up = np.where(pos, alpha < c, alpha > 0)
+        low = np.where(pos, alpha > 0, alpha < c)
+        if not up.any() or not low.any():
+            gap = -np.inf
+            break
+        mg_up = np.where(up, mg, -np.inf)
+        mg_low = np.where(low, mg, np.inf)
+        i = int(np.argmax(mg_up))
+        j = int(np.argmin(mg_low))
+        gap = float(mg_up[i] - mg_low[j])
+        if gap < tol or step == max_steps:
+            break
+        si, sj = y[i], y[j]
+        quad = max(Q[i, i] + Q[j, j] - 2.0 * si * sj * Q[i, j], 1e-12)
+        t = -(si * grad[i] - sj * grad[j]) / quad
+        lo_i, hi_i = sorted(((0.0 - alpha[i]) * si, (c - alpha[i]) * si))
+        lo_j, hi_j = sorted(((alpha[j] - c) * sj, alpha[j] * sj))
+        t = min(max(t, max(lo_i, lo_j)), min(hi_i, hi_j))
+        if t == 0.0:
+            break
+        d_i, d_j = si * t, -sj * t
+        alpha[i] = min(max(alpha[i] + d_i, 0.0), c)
+        alpha[j] = min(max(alpha[j] + d_j, 0.0), c)
+        grad += Q[:, i] * d_i + Q[:, j] * d_j
+    return alpha, grad, gap
+
+
+def bias_from_dual_reference(alpha, grad, y, c) -> float:
+    mg = -y * grad
+    free = np.flatnonzero((alpha > 1e-12 * c) & (alpha < c * (1.0 - 1e-12)))
+    if free.size:
+        return float(np.mean(mg[free]))
+    pos = y > 0
+    up = np.where(pos, alpha < c, alpha > 0)
+    low = np.where(pos, alpha > 0, alpha < c)
+    hi = float(np.max(mg[up])) if up.any() else 0.0
+    lo = float(np.min(mg[low])) if low.any() else 0.0
+    return 0.5 * (hi + lo)
+
+
+def svm_reference(X, y, c, tol=1e-9, max_steps=None):
+    """(weights, bias, converged) of the alpha-form SMO on the default
+    step budget of train_svm."""
+    budget = max_steps if max_steps is not None else max(200 * X.shape[0], 20000)
+    alpha, grad, gap = smo_reference(X @ X.T, y, c, tol, budget)
+    return X.T @ (alpha * y), bias_from_dual_reference(alpha, grad, y, c), gap < tol

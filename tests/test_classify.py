@@ -93,8 +93,8 @@ class TestTrainSvm:
         tol = 1e-9
         duals = []
         for steps in range(2000):
-            alpha, grad, gap = _smo(gram, y, 50.0, tol, steps)
-            duals.append(0.5 * float(alpha @ grad - alpha.sum()))
+            beta, _, gap = _smo(gram, y, 50.0, tol, steps)
+            duals.append(0.5 * float(beta @ gram @ beta) - float(y @ beta))
             if gap < tol:
                 break
         assert gap < tol

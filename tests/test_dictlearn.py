@@ -134,6 +134,17 @@ class TestDictionaryUpdateStep:
             after = X - Y @ d2.atoms.T
             assert np.sum(after * after) <= np.sum(before * before) + 1e-9
 
+    def test_repeated_updates_at_large_scale_pass_their_check(self):
+        # Near its fixed point a pass moves an error of ~5e9 by rounding
+        # alone (~1e-6); the check must not take that for a rise.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            d = unit_column_dictionary(rng, 5, 1)
+            X = rng.standard_normal((12, 5)) * 1e4
+            Y = rng.standard_normal((12, 1)) * 1e4
+            for _ in range(5):
+                d = dictionary_update_step(X, Y, d)
+
     def test_columns_stay_unit_norm(self):
         rng = np.random.default_rng(6)
         d = unit_column_dictionary(rng, 5, 7)

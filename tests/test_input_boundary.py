@@ -116,6 +116,7 @@ CASES = {
     "dictionary_update_step:codes": (Y, lambda a: dictionary_update_step(X, a, D)),
     "replace_dead_atoms:examples": (X, lambda a: replace_dead_atoms(D, np.zeros(3), a, 0, Y)),
     "replace_dead_atoms:codes": (Y, lambda a: replace_dead_atoms(D, np.zeros(3), X, 0, a)),
+    "replace_dead_atoms:usage": (np.zeros(3), lambda a: replace_dead_atoms(D, a, X, 0, Y)),
     "coding_objective:examples": (X, lambda a: coding_objective(a, D, Y, 0.1)),
     "coding_objective:codes": (Y, lambda a: coding_objective(X, D, a, 0.1)),
     "fit_whitening": (X, lambda a: fit_whitening(a, 2)),
@@ -163,6 +164,27 @@ def test_bad_array_raises_input_error(name, fault):
         bad = bad[None]
     with pytest.raises(InputError):
         call(bad)
+
+
+# name -> a call with labels that are not one +1 or -1 (or one event
+# name) per feature row
+BAD_LABELS = {
+    "train_svm:count": lambda: train_svm(X, LABELS[:-1], 1.0),
+    "train_svm:value": lambda: train_svm(X, 2.0 * LABELS, 1.0),
+    "train_svm:text": lambda: train_svm(X, ["a"] * 6, 1.0),
+    "svm_objective:count": lambda: svm_objective(SVM, X, [1.0]),
+    "svm_objective:value": lambda: svm_objective(SVM, X, [2.0] * 6),
+    "svm_objective:text": lambda: svm_objective(SVM, X, ["a"] * 6),
+    "train_event_models:count": lambda: train_event_models(X, EVENTS[:-1], 1.0),
+    "cross_validate:count": lambda: cross_validate(X, EVENTS[:-1], [1.0], folds=2),
+    "stratified_folds:empty": lambda: stratified_folds([], 2, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LABELS))
+def test_bad_labels_raise_input_error(name):
+    with pytest.raises(InputError):
+        BAD_LABELS[name]()
 
 
 IDS = ("p", "q", "r", "s")

@@ -1,6 +1,7 @@
 """Property tests of invariants the docstrings state: the matrix-file and
-record round trips (storage), the range of average precision (metrics) and
-the fuse/split objective identity (multimodal).
+record round trips (storage), the range of average precision (metrics),
+the fuse/split objective identity (multimodal), the reconstruction error
+of a dictionary update (dictlearn) and the EM log-likelihood (gmm).
 
 Kept apart from the unit tests so that a checkout without hypothesis still
 collects those."""
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mmsparse.dictlearn import dictionary_update_step
 from mmsparse.errors import InputError
+from mmsparse.gmm import fit_gmm_em
 from mmsparse.metrics import RankedList, average_precision
 from mmsparse.multimodal import (
     JointDictionary,
@@ -115,3 +118,57 @@ def test_fused_objective_splits_by_modality(seed, na, nv, k, lambda2):
     split = (lasso_objective(x_a, d_a, y, lambda2) / na
              + lasso_objective(x_v, d_v, y, lambda2) / nv)
     assert math.isclose(fused, split, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def _squared_error(X, Y, atoms) -> float:
+    R = X - Y @ atoms.T
+    return float(np.sum(R * R))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 20),
+    n=st.integers(1, 8),
+    k=st.integers(1, 10),
+    log_scale=st.floats(-3.0, 4.0),
+    density=st.floats(0.0, 1.0),
+    passes=st.integers(1, 4),
+)
+def test_dictionary_update_never_raises_error(seed, m, n, k, log_scale, density, passes):
+    """Each pass of dictionary_update_step, also on its own output, keeps
+    the reconstruction error within 1e-9 of max(1, error before)."""
+    rng = np.random.default_rng(seed)
+    d = unit_column_dictionary(rng, n, k)
+    X = rng.standard_normal((m, n)) * 10.0**log_scale
+    Y = rng.standard_normal((m, k)) * 10.0**log_scale * (rng.random((m, k)) < density)
+    for _ in range(passes):
+        before = _squared_error(X, Y, d.atoms)
+        d = dictionary_update_step(X, Y, d)
+        assert _squared_error(X, Y, d.atoms) <= before + 1e-9 * max(1.0, before)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    dim=st.integers(1, 5),
+    m=st.integers(1, 6),
+    log_scale=st.floats(-3.0, 3.0),
+    clumps=st.integers(0, 8),
+)
+def test_em_log_likelihood_never_falls_between_reseeds(seed, n, dim, m, log_scale, clumps):
+    """The log-likelihood of successive EM iterations never falls, except
+    across a re-seed: at most one fall per re-seeded component. The slack
+    is the rounding room of the expanded Mahalanobis sum, whose terms reach
+    max x^2 / variance floor per row and dimension."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, dim)) * 10.0**log_scale
+    if clumps:  # repeated rows, so components can collapse to the floor
+        X = X[rng.integers(0, min(clumps, n), size=n)]
+    m = min(m, n)
+    g, stats = fit_gmm_em(X, m, seed=seed % 1000, max_iter=40)
+    lls = np.asarray(stats.log_likelihood_per_iter)
+    slack = 64 * np.finfo(float).eps * n * dim * float(np.max(X * X)) / g.variance_floor
+    falls = np.diff(lls) < -(slack + 1e-12 * np.abs(lls[:-1]))
+    assert int(falls.sum()) <= stats.reseeds, lls

@@ -19,7 +19,7 @@ only feeds fold shuffling in cross-validation).
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "EventModel",
     "CvResult",
     "train_svm",
-    "svm_objective",
     "decision_score",
     "predict_event",
     "train_event_models",
@@ -171,14 +170,6 @@ def train_svm(
     budget = max_steps if max_steps is not None else max(200 * X.shape[0], 20000)
     beta, bias, gap = _smo(X @ X.T, y, c, tol, budget)
     return LinearSvm(weights=X.T @ beta, bias=bias, c=c, converged=gap < tol)
-
-
-def svm_objective(m: LinearSvm, x, labels) -> float:
-    """Primal hinge objective of a model on a labeled set."""
-    X = _as_finite(x, 2, name="features", nonempty=1)
-    y = _as_labels(labels, X.shape[0])
-    margins = y * (X @ m.weights + m.bias)
-    return float(0.5 * m.weights @ m.weights + m.c * np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
 def decision_score(m: LinearSvm, x) -> float:

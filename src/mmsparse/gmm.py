@@ -13,10 +13,12 @@ log densities. The Mahalanobis sum is expanded into matrix products,
         = (x*x) . (1/v_m) - 2 x . (mu_m/v_m) + sum_j mu_mj^2 / v_mj,
 
 so scoring a batch takes memory proportional to rows * components, not
-rows * components * dim. The M-step is the standard weighted update with
-every variance floored at a fixed fraction of the average feature variance.
-Components that lose all responsibility mass are re-seeded from the
-point the current mixture models worst.
+rows * components * dim. Its terms reach x^2 / v, so EM runs on rows
+centered on their column mean: a constant column is then exactly zero and
+leaves no rounding in the log-likelihood. The M-step is the standard
+weighted update with every variance floored at a fixed fraction of the
+average feature variance. Components that lose all responsibility mass
+are re-seeded from the point the current mixture models worst.
 """
 
 import math
@@ -33,7 +35,6 @@ __all__ = [
     "GaussianMixture",
     "EmStats",
     "fit_gmm_em",
-    "posteriors",
     "gmm_supervector",
 ]
 
@@ -136,6 +137,8 @@ def fit_gmm_em(
     if n < m:
         raise InputError(f"need at least {m} rows to fit {m} components, got {n}")
 
+    center = X.mean(axis=0)
+    X = X - center
     global_var = np.var(X, axis=0)
     floor = max(float(floor_fraction * np.mean(global_var)), 1e-12)
 
@@ -180,16 +183,9 @@ def fit_gmm_em(
         prev_ll = ll
 
     mixture = GaussianMixture(
-        weights=weights, means=means, variances=variances, variance_floor=floor
+        weights=weights, means=means + center, variances=variances, variance_floor=floor
     )
     return mixture, stats
-
-
-def posteriors(g: GaussianMixture, x) -> np.ndarray:
-    """Component responsibilities for one vector; nonnegative, sums to 1.
-    The one-row case of gmm_supervector without truncation."""
-    x = _as_finite(x, 1, g.dim)
-    return np.array(gmm_supervector(g, x[None, :], target_sparsity=None).values)
 
 
 def _truncate_posterior(P: np.ndarray, target_sparsity: float) -> np.ndarray:
@@ -212,22 +208,20 @@ def gmm_supervector(
     vectors: Sequence,
     clip_id: str = "",
     modality_tag: str = "gmm",
-    target_sparsity: Optional[float] = 0.1,
+    target_sparsity: float = 0.1,
 ) -> PooledFeature:
     """Max-pool per-input posterior vectors into one clip descriptor.
 
-    Each input's posterior vector is optionally sparsified to its top
+    Each input's posterior vector is sparsified to its top
     ceil(target_sparsity * M) components (renormalized) before pooling;
-    pass target_sparsity=None to pool the full posteriors. The posteriors
-    of all inputs come from one batched density evaluation.
+    target_sparsity=1.0 pools the full posteriors. The posteriors of all
+    inputs come from one batched density evaluation.
     """
-    if target_sparsity is not None:
-        _check_real(target_sparsity, "target_sparsity", ge=0, le=1)
+    _check_real(target_sparsity, "target_sparsity", ge=0, le=1)
     X = _as_finite(list(vectors), 2, g.dim, "input vectors", nonempty=1)
     log_joint = _log_densities(g.weights, g.means, g.variances, X)
     log_joint -= log_joint.max(axis=1, keepdims=True)
     P = np.exp(log_joint)
     P /= P.sum(axis=1, keepdims=True)
-    if target_sparsity is not None:
-        P = _truncate_posterior(P, target_sparsity)
+    P = _truncate_posterior(P, target_sparsity)
     return PooledFeature(values=P.max(axis=0), clip_id=clip_id, modality_tag=modality_tag)

@@ -1,5 +1,5 @@
 """Keyframe detection from frame color histograms and the audio feature
-pipeline: channel selection, automatic gain control, and MFCC extraction.
+pipeline: automatic gain control and MFCC extraction.
 
 Keyframes come from a two-pass scan: pass one computes L1 differences of
 successive normalized histograms and a threshold mean(d) + alpha * std(d);
@@ -16,7 +16,7 @@ coefficients for a 48-dimensional feature row.
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 from scipy.fft import dct
@@ -28,9 +28,7 @@ __all__ = [
     "AudioClip",
     "MfccConfig",
     "detect_keyframes",
-    "count_distinct_colors",
     "sample_context_frames",
-    "take_left_channel",
     "tf_agc",
     "mel_filterbank",
     "mfcc_features",
@@ -57,15 +55,13 @@ class FrameHistogram:
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono PCM audio samples with an explicit sample rate."""
+    """Mono PCM audio: one 1-D array of samples and its sample rate."""
 
     samples: np.ndarray
     sample_rate_hz: int
-    channels: int = 1
 
     def __post_init__(self):
         _check_count(self.sample_rate_hz, "sample_rate_hz")
-        _check_count(self.channels, "channels", le=1)
         _freeze(self, "samples", _as_finite(self.samples, 1, name="samples"))
 
     @property
@@ -91,11 +87,6 @@ class MfccConfig:
             raise InputError(
                 f"n_coeffs {self.n_coeffs} cannot exceed mel_filters {self.mel_filters}"
             )
-
-
-def count_distinct_colors(h: FrameHistogram) -> int:
-    """Number of histogram bins with a positive count."""
-    return int(np.count_nonzero(h.counts > 0))
 
 
 def detect_keyframes(
@@ -140,17 +131,6 @@ def sample_context_frames(
     times = np.linspace(start, start + span_s, count)
     snapped = np.round(times * fps) / fps
     return [float(t) for t in snapped]
-
-
-def take_left_channel(samples, sample_rate_hz: int, channels: int = 2) -> AudioClip:
-    """Keep channel 0 of interleaved stereo input; mono passes through."""
-    _check_count(channels, "channels", le=2)
-    raw = _as_finite(samples, 1, name="interleaved samples")
-    if channels == 1:
-        return AudioClip(samples=raw, sample_rate_hz=sample_rate_hz)
-    if raw.size % 2 != 0:
-        raise InputError("stereo interleaved input must have even length")
-    return AudioClip(samples=raw[0::2], sample_rate_hz=sample_rate_hz)
 
 
 def _octave_band_signals(x: np.ndarray, n_bands: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Detection and retrieval metrics: accuracy, average precision, mAP.
+"""Retrieval metric: per-event average precision (AP).
 
 Average precision is the non-interpolated variant: items are ranked by
 score descending (ties broken by clip id ascending, so results are
@@ -7,7 +7,6 @@ with AP defined as 0 when nothing is relevant.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -16,8 +15,6 @@ from .errors import InputError, _as_finite, _freeze
 __all__ = [
     "RankedList",
     "average_precision",
-    "mean_average_precision",
-    "accuracy",
 ]
 
 
@@ -50,25 +47,4 @@ def average_precision(r: RankedList) -> float:
     relevant = r.relevance[np.lexsort((np.asarray(r.clip_ids), -r.scores))] == 1
     ranks = np.flatnonzero(relevant) + 1
     return float(np.sum(np.arange(1, total_relevant + 1) / ranks) / total_relevant)
-
-
-def mean_average_precision(ranked_lists: Sequence[RankedList]) -> float:
-    """Unweighted mean of per-event APs."""
-    lists = list(ranked_lists)
-    if not lists:
-        raise InputError("mean_average_precision requires at least one event")
-    return float(np.mean([average_precision(r) for r in lists]))
-
-
-def accuracy(predicted: Sequence, actual: Sequence) -> float:
-    """Fraction of exactly matching predictions."""
-    predicted = list(predicted)
-    actual = list(actual)
-    if len(predicted) != len(actual):
-        raise InputError(
-            f"prediction count {len(predicted)} != label count {len(actual)}"
-        )
-    if not predicted:
-        raise InputError("accuracy requires at least one example")
-    return sum(p == a for p, a in zip(predicted, actual)) / len(predicted)
 

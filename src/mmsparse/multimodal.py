@@ -23,7 +23,7 @@ left un-normalized; renormalizing would break this identity.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .solvers import Dictionary, SolverConfig, SparseCode, lasso_encode
 __all__ = [
     "ModalityPair",
     "JointDictionary",
-    "fuse_input",
     "fuse_rows",
     "learn_joint",
     "split_joint",
@@ -70,16 +69,9 @@ class JointDictionary:
         _check_real(self.lambda_joint, "lambda_joint", ge=0)
 
 
-def fuse_input(x_a, x_v) -> np.ndarray:
-    """Concatenate one audio and one video vector with 1/sqrt(N) scaling:
-    the one-row case of fuse_rows."""
-    a = _as_finite(x_a, 1, name="x_a", nonempty=1)
-    v = _as_finite(x_v, 1, name="x_v", nonempty=1)
-    return fuse_rows(a[None, :], v[None, :])[0]
-
-
 def fuse_rows(audio: np.ndarray, video: np.ndarray) -> np.ndarray:
-    """Row-wise fuse_input for matching feature matrices."""
+    """Concatenate each audio row with its video row, scaling each block by
+    1/sqrt(N) of its dimension."""
     A = _as_finite(audio, 2, name="audio")
     V = _as_finite(video, 2, name="video")
     if A.shape[0] != V.shape[0]:

@@ -1,10 +1,7 @@
-"""Per-example sparse coding solvers.
-
-Two coding problems are supported, both over a dictionary D with atoms as
+"""Per-example l1 sparse coding (LASSO) over a dictionary D with atoms as
 columns:
 
-    l1 (LASSO):   min_y ||x - D y||_2^2 + lam * ||y||_1
-    l0 (OMP):     min_y ||x - D y||_2^2   s.t.  ||y||_0 <= s
+    min_y ||x - D y||_2^2 + lam * ||y||_1
 
 The quadratic term carries no 1/2 factor, so the coordinate-wise soft
 threshold sits at lam / 2 and the KKT conditions read
@@ -45,10 +42,7 @@ __all__ = [
     "SolverConfig",
     "lasso_encode",
     "lasso_encode_batch",
-    "lasso_objective",
-    "omp_encode",
     "kkt_violation",
-    "reconstruction_error",
 ]
 
 
@@ -100,8 +94,8 @@ class Dictionary:
 class SparseCode:
     """Coefficient vector of one coded example.
 
-    `converged` is False when the producing solver stopped abnormally
-    (LASSO iteration budget exhausted, OMP rank-deficient selection).
+    `converged` is False when the LASSO solver spent its iteration budget
+    without meeting its tolerance.
     """
 
     coeffs: np.ndarray
@@ -114,10 +108,6 @@ class SparseCode:
     def support(self) -> Tuple[int, ...]:
         """Sorted indices of the nonzero coefficients."""
         return tuple(int(i) for i in np.flatnonzero(self.coeffs))
-
-    @property
-    def nnz(self) -> int:
-        return len(self.support)
 
 
 @dataclass(frozen=True)
@@ -147,14 +137,6 @@ def _example_and_code(x, d: Dictionary, y) -> Tuple[np.ndarray, np.ndarray]:
     return _as_finite(x, 1, d.input_dim), coeffs
 
 
-def lasso_objective(x, d: Dictionary, y, lam: float) -> float:
-    """Value of ||x - D y||^2 + lam * ||y||_1."""
-    _check_real(lam, "lam", ge=0)
-    x, coeffs = _example_and_code(x, d, y)
-    r = x - d.atoms @ coeffs
-    return float(r @ r + lam * np.sum(np.abs(coeffs)))
-
-
 def _kkt(corr: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Max KKT violation of each column of y (codes, atoms along axis 0),
     given corr = 2 D^T (x - D y) of the same shape; 1-D inputs give a scalar."""
@@ -168,13 +150,6 @@ def kkt_violation(x, d: Dictionary, y, lam: float) -> float:
     x, coeffs = _example_and_code(x, d, y)
     corr = 2.0 * (d.atoms.T @ (x - d.atoms @ coeffs))
     return float(_kkt(corr, coeffs, lam))
-
-
-def reconstruction_error(x, d: Dictionary, y) -> float:
-    """Squared Euclidean residual ||x - D y||^2."""
-    x, coeffs = _example_and_code(x, d, y)
-    r = x - d.atoms @ coeffs
-    return float(r @ r)
 
 
 # An atom whose squared distance from the span of the other active atoms
@@ -364,56 +339,3 @@ def lasso_encode(x, d: Dictionary, cfg: SolverConfig) -> SparseCode:
     codes, converged = lasso_encode_batch(x[None, :], d, cfg)
     return SparseCode(codes[0], converged=bool(converged[0]))
 
-
-def omp_encode(x, d: Dictionary, s: int) -> SparseCode:
-    """Greedy l0-constrained coding with a full least-squares refit on the
-    selected support at every iteration.
-
-    Selection maximizes the normalized residual correlation |d_k^T r|/||d_k||.
-    Stops when s atoms are selected, the residual norm drops below 1e-12, or
-    a newly selected atom makes the support rank-deficient (that atom is
-    dropped and the result is flagged converged=False).
-    """
-    x = _as_finite(x, 1, d.input_dim)
-    _check_count(s, "sparsity bound", ge=0)
-    if s > d.atom_count:
-        raise InputError(f"sparsity bound {s} exceeds atom count {d.atom_count}")
-
-    k = d.atom_count
-    coeffs = np.zeros(k)
-    if s == 0:
-        return SparseCode(coeffs)
-
-    atoms = d.atoms
-    norms = np.linalg.norm(atoms, axis=0)
-    selectable = norms > 0.0
-    inv_norms = np.where(selectable, 1.0 / np.where(selectable, norms, 1.0), 0.0)
-
-    support: list = []
-    r = x.copy()
-    sol = np.zeros(0)
-    flagged = False
-
-    for _ in range(s):
-        if np.linalg.norm(r) < 1e-12:
-            break
-        corr = (atoms.T @ r) * inv_norms
-        if support:
-            corr[support] = 0.0
-        j = int(np.argmax(np.abs(corr)))
-        if corr[j] == 0.0:
-            break
-        trial = support + [j]
-        sub = atoms[:, trial]
-        gram = sub.T @ sub
-        if len(trial) > 1 and float(np.min(np.linalg.eigvalsh(gram))) < 1e-10:
-            flagged = True
-            break
-        rhs = sub.T @ x
-        sol = np.linalg.solve(gram + 1e-12 * np.eye(len(trial)), rhs)
-        support = trial
-        r = x - sub @ sol
-
-    if support:
-        coeffs[support] = sol
-    return SparseCode(coeffs, converged=not flagged)

@@ -1,4 +1,5 @@
-"""Shared test utilities: small random problem builders and reference
+"""Shared test utilities: small random problem builders, the LASSO and
+SVM objectives the tests judge codes and models by, and reference
 implementations kept deliberately independent of the library code paths."""
 
 import math
@@ -6,8 +7,10 @@ from typing import Tuple
 
 import numpy as np
 
+from mmsparse.classify import LinearSvm, _as_labels
+from mmsparse.errors import _as_finite, _check_real
 from mmsparse.media import AudioClip, tf_agc
-from mmsparse.solvers import Dictionary
+from mmsparse.solvers import Dictionary, _example_and_code
 
 
 def unit_column_dictionary(rng, n, k, modality_dims=None) -> Dictionary:
@@ -17,34 +20,28 @@ def unit_column_dictionary(rng, n, k, modality_dims=None) -> Dictionary:
     return Dictionary(atoms, modality_dims=modality_dims)
 
 
-def mutual_coherence(atoms: np.ndarray) -> float:
-    cols = atoms / np.linalg.norm(atoms, axis=0, keepdims=True)
-    gram = np.abs(cols.T @ cols)
-    np.fill_diagonal(gram, 0.0)
-    return float(gram.max())
-
-
-def low_coherence_dictionary(rng, n, k, max_coherence=0.5, tries=20000) -> Dictionary:
-    """Near-orthogonal dictionary by construction: columns are accepted one
-    at a time only if their correlation with every accepted column stays
-    below the coherence bound."""
-    cols = []
-    for _ in range(tries):
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        if all(abs(v @ u) <= max_coherence for u in cols):
-            cols.append(v)
-            if len(cols) == k:
-                return Dictionary(np.stack(cols, axis=1))
-    raise AssertionError(
-        f"could not draw a {n}x{k} dictionary with coherence <= {max_coherence}"
-    )
+def lasso_objective(x, d: Dictionary, y, lam: float) -> float:
+    """Value of ||x - D y||^2 + lam * ||y||_1, with the library's checks on
+    x, the code y (array or SparseCode) and lam."""
+    _check_real(lam, "lam", ge=0)
+    x, coeffs = _example_and_code(x, d, y)
+    r = x - d.atoms @ coeffs
+    return float(r @ r + lam * np.sum(np.abs(coeffs)))
 
 
 def lasso_objective_ref(x, atoms, y, lam) -> float:
     """Objective ||x - D y||^2 + lam ||y||_1 by direct evaluation."""
     r = x - atoms @ y
     return float(r @ r + lam * np.sum(np.abs(y)))
+
+
+def svm_objective(m: LinearSvm, x, labels) -> float:
+    """Primal hinge objective of a model on a labeled set, with the
+    library's checks on the features and the +-1 labels."""
+    X = _as_finite(x, 2, name="features", nonempty=1)
+    y = _as_labels(labels, X.shape[0])
+    margins = y * (X @ m.weights + m.bias)
+    return float(0.5 * m.weights @ m.weights + m.c * np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
 def proximal_gradient_lasso(x, atoms, lam, max_iter=1_000_000, stop_delta=1e-14):

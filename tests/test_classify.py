@@ -12,11 +12,12 @@ from mmsparse.classify import (
     decision_score,
     predict_event,
     stratified_folds,
-    svm_objective,
     train_event_models,
     train_svm,
 )
 from mmsparse.errors import InputError
+
+from helpers import svm_objective
 
 
 def blobs(rng, n_per=25, sep=2.5, dim=2):

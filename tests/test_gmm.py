@@ -10,8 +10,12 @@ from mmsparse.gmm import (
     _log_densities,
     fit_gmm_em,
     gmm_supervector,
-    posteriors,
 )
+
+
+def posteriors(g, x):
+    """Untruncated posterior of one vector: a one-input supervector."""
+    return gmm_supervector(g, [x], target_sparsity=1.0).values
 
 
 def two_cluster_data(rng, n_per=150, sep=10.0, dim=3):
@@ -64,6 +68,17 @@ class TestFitGmmEm:
         g2, s2 = fit_gmm_em(X, m=3, seed=11)
         assert g1.means.tobytes() == g2.means.tobytes()
         assert s1.log_likelihood_per_iter == s2.log_likelihood_per_iter
+
+    def test_constant_columns_keep_log_likelihood_from_falling(self):
+        # identical 4-D rows, and a constant 1-D set at scale 1e3: every
+        # variance sits at the floor, where uncentered rows leave
+        # rounding of order x^2 / floor in the log-likelihood
+        for X, m in ((np.tile([1.0, 2.0, 3.0, 4.0], (5, 1)), 5), (np.full((20, 1), 1e3), 3)):
+            for seed in range(3):
+                _, stats = fit_gmm_em(X, m=m, seed=seed)
+                assert stats.reseeds == 0
+                lls = np.asarray(stats.log_likelihood_per_iter)
+                assert np.all(np.diff(lls) >= 0.0), lls
 
     def test_too_few_rows(self):
         with pytest.raises(InputError):
@@ -155,14 +170,17 @@ class TestGmmSupervector:
     def test_single_input_is_its_posterior(self):
         g = self.make_mixture()
         x = np.array([1.0])
-        pf = gmm_supervector(g, [x], clip_id="c0", target_sparsity=None)
-        np.testing.assert_allclose(pf.values, posteriors(g, x), atol=1e-15)
+        pf = gmm_supervector(g, [x], clip_id="c0", target_sparsity=1.0)
+        # equal weights and unit variances: posterior is a softmax of -(x - mu)^2 / 2
+        logits = -0.5 * (x[0] - g.means[:, 0]) ** 2
+        expected = np.exp(logits - logits.max())
+        np.testing.assert_allclose(pf.values, expected / expected.sum(), atol=1e-15)
 
     def test_bounds(self):
         rng = np.random.default_rng(5)
         g, _ = fit_gmm_em(rng.standard_normal((30, 2)), m=4, seed=0)
         vectors = [rng.standard_normal(2) for _ in range(6)]
-        pf = gmm_supervector(g, vectors, target_sparsity=None)
+        pf = gmm_supervector(g, vectors, target_sparsity=1.0)
         stacked = np.array([posteriors(g, v) for v in vectors])
         assert np.all(pf.values <= 1.0 + 1e-12)
         np.testing.assert_allclose(pf.values, stacked.max(axis=0), atol=1e-15)

@@ -22,14 +22,13 @@ from mmsparse.metrics import RankedList, average_precision
 from mmsparse.multimodal import (
     JointDictionary,
     ModalityPair,
-    fuse_input,
+    fuse_rows,
     lambda_joint_of,
     split_joint,
 )
-from mmsparse.solvers import lasso_objective
 from mmsparse.storage import load_matrix, load_record, save_matrix, save_record
 
-from helpers import unit_column_dictionary
+from helpers import lasso_objective, unit_column_dictionary
 
 F32_MAX = float(np.finfo(np.float32).max)
 
@@ -114,7 +113,7 @@ def test_fused_objective_splits_by_modality(seed, na, nv, k, lambda2):
     x_a, x_v = rng.standard_normal(na), rng.standard_normal(nv)
     y = rng.standard_normal(k) * (rng.random(k) < 0.5)
     lam_joint = lambda_joint_of(lambda2, ModalityPair(na, nv))
-    fused = lasso_objective(fuse_input(x_a, x_v), jd.inner, y, lam_joint)
+    fused = lasso_objective(fuse_rows([x_a], [x_v])[0], jd.inner, y, lam_joint)
     split = (lasso_objective(x_a, d_a, y, lambda2) / na
              + lasso_objective(x_v, d_v, y, lambda2) / nv)
     assert math.isclose(fused, split, rel_tol=1e-12, abs_tol=1e-12)

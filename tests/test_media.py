@@ -11,13 +11,11 @@ from mmsparse.media import (
     FrameHistogram,
     MfccConfig,
     _octave_band_signals,
-    count_distinct_colors,
     delta_coefficients,
     detect_keyframes,
     mel_filterbank,
     mfcc_features,
     sample_context_frames,
-    take_left_channel,
     tf_agc,
 )
 
@@ -93,22 +91,6 @@ class TestDetectKeyframes:
         assert got == detect_keyframes_reference(frames, alpha=alpha, min_colors=min_colors)
 
 
-class TestCountDistinctColors:
-    def test_all_zero(self):
-        assert count_distinct_colors(hist(np.zeros(16))) == 0
-
-    def test_single_bin(self):
-        c = np.zeros(16)
-        c[3] = 2.0
-        assert count_distinct_colors(hist(c)) == 1
-
-    def test_matches_naive_scan(self):
-        rng = np.random.default_rng(1)
-        counts = rng.integers(0, 4, size=40).astype(float)
-        naive = sum(1 for v in counts if v > 0)
-        assert count_distinct_colors(hist(counts)) == naive
-
-
 class TestSampleContextFrames:
     def test_centered_window(self):
         ts = sample_context_frames(10.0, fps=10.0, count=10, span_s=5.0)
@@ -132,27 +114,6 @@ class TestSampleContextFrames:
         ts = sample_context_frames(3.3, fps=fps, count=7, span_s=2.0)
         for t in ts:
             assert abs(t * fps - round(t * fps)) <= 1e-9
-
-
-class TestTakeLeftChannel:
-    def test_interleaved(self):
-        clip = take_left_channel(np.array([1.0, 9.0, 2.0, 8.0]), FS, channels=2)
-        np.testing.assert_array_equal(clip.samples, [1.0, 2.0])
-        assert clip.channels == 1
-
-    def test_mono_passthrough(self):
-        clip = take_left_channel(np.array([0.1, 0.2, 0.3]), FS, channels=1)
-        np.testing.assert_array_equal(clip.samples, [0.1, 0.2, 0.3])
-
-    def test_length_halves(self):
-        rng = np.random.default_rng(2)
-        stereo = rng.uniform(-1, 1, size=64)
-        clip = take_left_channel(stereo, FS, channels=2)
-        assert clip.samples.size == 32
-
-    def test_bad_channel_count(self):
-        with pytest.raises(InputError):
-            take_left_channel(np.zeros(6), FS, channels=3)
 
 
 class TestTfAgc:

@@ -5,13 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mmsparse.errors import InputError
-from mmsparse.metrics import (
-    RankedList,
-    accuracy,
-    average_precision,
-    mean_average_precision,
-)
+from mmsparse.metrics import RankedList, average_precision
 
 
 def ranked(scores, relevance, ids=None):
@@ -78,50 +72,3 @@ class TestAveragePrecision:
         r2 = ranked([1.0, 1.0], [0, 1], ids=["a", "b"])
         assert average_precision(r1) == pytest.approx(1.0)
         assert average_precision(r2) == pytest.approx(0.5)
-
-
-class TestMeanAveragePrecision:
-    def test_single_event(self):
-        r = ranked([2.0, 1.0], [0, 1])
-        assert mean_average_precision([r]) == pytest.approx(average_precision(r))
-
-    def test_mean_of_extremes(self):
-        perfect = ranked([2.0, 1.0], [1, 0])
-        empty = ranked([2.0, 1.0], [0, 0])
-        assert mean_average_precision([perfect, empty]) == pytest.approx(0.5)
-
-    def test_event_permutation_invariance(self):
-        rng = np.random.default_rng(2)
-        lists = [
-            ranked(rng.standard_normal(5), rng.integers(0, 2, size=5))
-            for _ in range(4)
-        ]
-        a = mean_average_precision(lists)
-        b = mean_average_precision(lists[::-1])
-        assert a == pytest.approx(b, abs=1e-12)
-
-
-class TestAccuracy:
-    def test_all_correct(self):
-        assert accuracy(["a", "b"], ["a", "b"]) == 1.0
-
-    def test_none_correct(self):
-        assert accuracy(["a", "b"], ["b", "a"]) == 0.0
-
-    def test_three_of_four(self):
-        assert accuracy([1, 2, 3, 4], [1, 2, 3, 9]) == 0.75
-
-    def test_permutation_invariance(self):
-        pred = ["a", "b", "a", "c"]
-        true = ["a", "c", "a", "c"]
-        pairs = list(zip(pred, true))
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            perm = rng.permutation(len(pairs))
-            p2 = [pairs[i][0] for i in perm]
-            t2 = [pairs[i][1] for i in perm]
-            assert accuracy(p2, t2) == accuracy(pred, true)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            accuracy([1, 2], [1])

@@ -10,16 +10,15 @@ from mmsparse.multimodal import (
     JointDictionary,
     ModalityPair,
     encode_cross_modal,
-    fuse_input,
     fuse_rows,
     lambda_joint_of,
     learn_joint,
     split_joint,
     union_features,
 )
-from mmsparse.solvers import Dictionary, kkt_violation, lasso_objective
+from mmsparse.solvers import Dictionary, kkt_violation
 
-from helpers import unit_column_dictionary
+from helpers import lasso_objective, unit_column_dictionary
 
 
 def random_joint(rng, na, nv, k) -> JointDictionary:
@@ -27,12 +26,17 @@ def random_joint(rng, na, nv, k) -> JointDictionary:
     return JointDictionary(inner=d, lambda_joint=0.1)
 
 
+def fuse_one(x_a, x_v):
+    """One audio and one video vector fused: a one-row fuse_rows."""
+    return fuse_rows([x_a], [x_v])[0]
+
+
 class TestFuseInput:
     def test_sqrt_one_is_identity(self):
-        np.testing.assert_array_equal(fuse_input([2.0], [3.0]), [2.0, 3.0])
+        np.testing.assert_array_equal(fuse_one([2.0], [3.0]), [2.0, 3.0])
 
     def test_scaling(self):
-        fused = fuse_input([2.0, 0.0, 0.0, 0.0], [0.0])
+        fused = fuse_one([2.0, 0.0, 0.0, 0.0], [0.0])
         np.testing.assert_allclose(fused, [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_norm_identity(self):
@@ -42,7 +46,7 @@ class TestFuseInput:
             nv = int(rng.integers(1, 10))
             xa = rng.standard_normal(na)
             xv = rng.standard_normal(nv)
-            fused = fuse_input(xa, xv)
+            fused = fuse_one(xa, xv)
             expect = xa @ xa / na + xv @ xv / nv
             assert np.sum(fused * fused) == pytest.approx(expect, abs=1e-12)
 
@@ -51,8 +55,8 @@ class TestFuseInput:
         xa1, xa2 = rng.standard_normal((2, 5))
         xv1, xv2 = rng.standard_normal((2, 3))
         a, b = 1.7, -0.4
-        lhs = fuse_input(a * xa1 + b * xa2, a * xv1 + b * xv2)
-        rhs = a * fuse_input(xa1, xv1) + b * fuse_input(xa2, xv2)
+        lhs = fuse_one(a * xa1 + b * xa2, a * xv1 + b * xv2)
+        rhs = a * fuse_one(xa1, xv1) + b * fuse_one(xa2, xv2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_fuse_rows_matches_per_row(self):
@@ -61,7 +65,7 @@ class TestFuseInput:
         V = rng.standard_normal((4, 3))
         fused = fuse_rows(A, V)
         for i in range(4):
-            np.testing.assert_allclose(fused[i], fuse_input(A[i], V[i]), atol=1e-15)
+            np.testing.assert_allclose(fused[i], fuse_one(A[i], V[i]), atol=1e-15)
 
 
 class TestLearnJoint:
@@ -71,7 +75,7 @@ class TestLearnJoint:
         xv = rng.standard_normal(2)
         pairs = [(xa, xv)] * 5
         jd, stats = learn_joint(pairs, LearnConfig(atom_count=1, lam=0.0, epochs=10, seed=0))
-        fused = fuse_input(xa, xv)
+        fused = fuse_one(xa, xv)
         direction = fused / np.linalg.norm(fused)
         atom = jd.inner.atoms[:, 0]
         assert min(
@@ -237,7 +241,7 @@ class TestObjectiveDecomposition:
             y = rng.standard_normal(k) * (rng.random(k) < 0.6)
             lam2 = float(rng.uniform(0.0, 2.0))
             lam1 = lambda_joint_of(lam2, ModalityPair(na, nv))
-            lhs = lasso_objective(fuse_input(xa, xv), jd.inner, y, lam1)
+            lhs = lasso_objective(fuse_one(xa, xv), jd.inner, y, lam1)
             rhs = (
                 lasso_objective(xa, da, y, lam2) / na
                 + lasso_objective(xv, dv, y, lam2) / nv
@@ -253,7 +257,7 @@ class TestObjectiveDecomposition:
         y = rng.standard_normal(16) * (rng.random(16) < 0.5)
         lam2 = 0.7
         lam1 = lambda_joint_of(lam2, ModalityPair(48, 128))
-        lhs = lasso_objective(fuse_input(xa, xv), jd.inner, y, lam1)
+        lhs = lasso_objective(fuse_one(xa, xv), jd.inner, y, lam1)
         rhs = (
             lasso_objective(xa, da, y, lam2) / 48.0
             + lasso_objective(xv, dv, y, lam2) / 128.0

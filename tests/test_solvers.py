@@ -1,5 +1,5 @@
 """Solver contracts: the LASSO engine (the homotopy and its coordinate
-descent fallback), OMP, and their diagnostics."""
+descent fallback) and its diagnostics."""
 
 import numpy as np
 import pytest
@@ -13,14 +13,11 @@ from mmsparse.solvers import (
     kkt_violation,
     lasso_encode,
     lasso_encode_batch,
-    lasso_objective,
-    omp_encode,
-    reconstruction_error,
 )
 
 from helpers import (
+    lasso_objective,
     lasso_objective_ref,
-    low_coherence_dictionary,
     proximal_gradient_lasso,
     unit_column_dictionary,
 )
@@ -59,7 +56,6 @@ class TestSparseCodeType:
     def test_from_coeffs_builds_support(self):
         c = SparseCode(np.array([0.0, -2.0, 3.0]))
         assert c.support == (1, 2)
-        assert c.nnz == 2
         assert SparseCode(np.zeros(3)).support == ()
 
 
@@ -354,91 +350,6 @@ class TestKktViolation:
         d = identity_dictionary(2)
         with pytest.raises(InputError):
             kkt_violation(np.zeros(2), d, np.zeros(3), 0.1)
-
-
-class TestReconstructionError:
-    def test_exact_code_gives_zero(self):
-        rng = np.random.default_rng(43)
-        d = unit_column_dictionary(rng, 5, 5)
-        y = rng.standard_normal(5)
-        x = d.atoms @ y
-        assert reconstruction_error(x, d, y) <= 1e-20
-
-    def test_identity_case(self):
-        d = identity_dictionary(2)
-        assert reconstruction_error(np.array([1.0, 0.0]), d, np.zeros(2)) == pytest.approx(1.0)
-
-    def test_matches_naive_double_loop(self):
-        rng = np.random.default_rng(47)
-        d = unit_column_dictionary(rng, 6, 9)
-        x = rng.standard_normal(6)
-        y = rng.standard_normal(9)
-        total = 0.0
-        for i in range(6):
-            acc = x[i]
-            for j in range(9):
-                acc -= d.atoms[i, j] * y[j]
-            total += acc * acc
-        assert reconstruction_error(x, d, y) == pytest.approx(total, abs=1e-12)
-
-
-class TestOmpEncode:
-    def test_single_exact_atom(self):
-        rng = np.random.default_rng(53)
-        d = unit_column_dictionary(rng, 8, 10)
-        x = 3.0 * d.atoms[:, 5]
-        y = omp_encode(x, d, 1)
-        assert y.support == (5,)
-        assert y.coeffs[5] == pytest.approx(3.0, abs=1e-9)
-
-    def test_zero_sparsity(self):
-        rng = np.random.default_rng(59)
-        d = unit_column_dictionary(rng, 4, 6)
-        y = omp_encode(rng.standard_normal(4), d, 0)
-        assert y.support == ()
-
-    def test_sparsity_exceeds_atoms(self):
-        d = identity_dictionary(2)
-        with pytest.raises(InputError):
-            omp_encode(np.zeros(2), d, 3)
-
-    def test_planted_recovery(self):
-        rng = np.random.default_rng(61)
-        d = low_coherence_dictionary(rng, 16, 32)
-        support = rng.choice(32, size=3, replace=False)
-        coeffs = np.zeros(32)
-        coeffs[support] = rng.uniform(1.0, 2.0, size=3)
-        x = d.atoms @ coeffs
-        y = omp_encode(x, d, 3)
-        assert set(y.support) == set(int(i) for i in support)
-        np.testing.assert_allclose(y.coeffs, coeffs, atol=1e-8)
-
-    def test_residual_orthogonal_to_selected(self):
-        rng = np.random.default_rng(67)
-        for _ in range(10):
-            d = unit_column_dictionary(rng, 12, 24)
-            x = rng.standard_normal(12)
-            y = omp_encode(x, d, 5)
-            r = x - d.atoms @ y.coeffs
-            for j in y.support:
-                assert abs(d.atoms[:, j] @ r) <= 1e-8
-
-    def test_residual_norm_nonincreasing_in_sparsity(self):
-        rng = np.random.default_rng(71)
-        d = unit_column_dictionary(rng, 10, 20)
-        x = rng.standard_normal(10)
-        errs = [
-            np.linalg.norm(x - d.atoms @ omp_encode(x, d, s).coeffs)
-            for s in range(0, 8)
-        ]
-        assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
-
-    def test_duplicate_atom_rank_deficiency_flagged(self):
-        col = np.array([1.0, 0.0])
-        d = Dictionary(np.stack([col, col], axis=1))
-        y = omp_encode(np.array([2.0, 1.0]), d, 2)
-        assert not y.converged
-        assert len(y.support) == 1
 
 
 class TestLassoObjective:

@@ -96,8 +96,9 @@ def _smo(
     within lo <= beta <= hi, over at most max_steps pair updates; returns
     (beta, bias, gap), where gap is the max-violating-pair gap at the
     returned beta. The bias is the mean of y - K beta over the free set
-    (lo < beta < hi), or the midpoint of the last pair's values when no
-    beta is free.
+    (alpha = y * beta more than 1e-12 c inside (0, c), so that rounding
+    residues at a bound do not count), or the midpoint of the last pair's values
+    when no beta is free.
 
     Each step moves beta_i up and beta_j down by the same t, so sum(beta)
     stays 0 up to rounding. Neither candidate set can therefore be empty
@@ -124,8 +125,11 @@ def _smo(
             break
         beta[i] = min(beta[i] + t, hi[i])
         beta[j] = max(beta[j] - t, lo[j])
-        mg -= t * (gram[:, i] - gram[:, j])
-    free = up & low
+        # Each column scaled by t before the difference, as y * grad moves
+        # in the alpha form, so both forms round alike step for step.
+        mg -= gram[:, i] * t - gram[:, j] * t
+    alpha = y * beta
+    free = (alpha > 1e-12 * c) & (alpha < c * (1.0 - 1e-12))
     bias = np.mean(mg[free]) if free.any() else 0.5 * (mg_up[i] + mg_low[j])
     return beta, float(bias), gap
 

@@ -16,7 +16,7 @@ codes, so recycling leaves the objective of those codes unchanged.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 

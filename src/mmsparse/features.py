@@ -13,7 +13,7 @@ whole clip in one pass.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -16,7 +16,8 @@ coefficients for a 48-dimensional feature row.
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.fft import dct
@@ -339,6 +340,17 @@ def delta_coefficients(seq, window: int = 2) -> np.ndarray:
     return out / denom
 
 
+@lru_cache(maxsize=8)
+def _mfcc_kernels(mel_filters: int, window_len: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The Hann window and the 22050-Hz mel filterbank of one MFCC
+    configuration, built once and returned read-only."""
+    window = np.hanning(window_len)
+    bank = mel_filterbank(mel_filters, window_len, 22050)
+    window.flags.writeable = False
+    bank.flags.writeable = False
+    return window, bank
+
+
 def mfcc_features(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     """MFCC + delta + delta-delta rows, one per analysis frame.
 
@@ -356,8 +368,7 @@ def mfcc_features(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray
         )
 
     n_frames = (x.size - cfg.window_len) // cfg.hop + 1
-    window = np.hanning(cfg.window_len)
-    bank = mel_filterbank(cfg.mel_filters, cfg.window_len, clip.sample_rate_hz)
+    window, bank = _mfcc_kernels(cfg.mel_filters, cfg.window_len)
 
     cepstra = np.empty((n_frames, cfg.n_coeffs))
     for t in range(n_frames):

@@ -3,14 +3,26 @@ SVM objectives the tests judge codes and models by, and reference
 implementations kept deliberately independent of the library code paths."""
 
 import math
+import os
 from typing import Tuple
 
 import numpy as np
+from scipy.fft import dct
 
 from mmsparse.classify import LinearSvm, _as_labels
 from mmsparse.errors import _as_finite, _check_real
-from mmsparse.media import AudioClip, tf_agc
+from mmsparse.media import AudioClip, MfccConfig, delta_coefficients, mel_filterbank, tf_agc
 from mmsparse.solvers import Dictionary, _example_and_code
+
+
+def examples(count: int) -> int:
+    """Hypothesis examples for a property test: `count`, or more when the
+    profile named by HYPOTHESIS_PROFILE (see conftest.py) asks for more."""
+    if os.environ.get("HYPOTHESIS_PROFILE"):
+        from hypothesis import settings
+
+        return max(count, settings.default.max_examples)
+    return count
 
 
 def unit_column_dictionary(rng, n, k, modality_dims=None) -> Dictionary:
@@ -147,6 +159,23 @@ def mel_filterbank_reference(n_filters, n_fft, sample_rate_hz) -> np.ndarray:
         falling = (right - bin_freqs) / (right - center)
         bank[m] = np.maximum(0.0, np.minimum(rising, falling))
     return bank
+
+
+def mfcc_reference(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
+    """MFCC + delta + delta-delta rows with the Hann window and the mel
+    filterbank built afresh, one frame transformed at a time."""
+    x = clip.samples
+    n_frames = (x.size - cfg.window_len) // cfg.hop + 1
+    window = np.hanning(cfg.window_len)
+    bank = mel_filterbank(cfg.mel_filters, cfg.window_len, clip.sample_rate_hz)
+    cepstra = np.empty((n_frames, cfg.n_coeffs))
+    for t in range(n_frames):
+        frame = x[t * cfg.hop : t * cfg.hop + cfg.window_len] * window
+        power = np.abs(np.fft.rfft(frame)) ** 2
+        log_energy = np.log(np.maximum(bank @ power, 1e-10))
+        cepstra[t] = dct(log_energy, type=2, norm="ortho")[: cfg.n_coeffs]
+    d1 = delta_coefficients(cepstra, window=2)
+    return np.hstack([cepstra, d1, delta_coefficients(d1, window=2)])
 
 
 def detect_keyframes_reference(frames, alpha=1.0, min_colors=26):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mmsparse.classify import (
-    CvResult,
     EventModel,
     LinearSvm,
     _smo,
@@ -17,7 +16,7 @@ from mmsparse.classify import (
 )
 from mmsparse.errors import InputError
 
-from helpers import svm_objective
+from helpers import svm_objective, svm_reference
 
 
 def blobs(rng, n_per=25, sep=2.5, dim=2):
@@ -106,6 +105,27 @@ class TestTrainSvm:
         rng = np.random.default_rng(5)
         X, y = blobs(rng, sep=0.5)
         assert not train_svm(X, y, c=100.0, max_steps=5).converged
+
+    def test_near_duplicate_rows_converge(self):
+        # Rows of 1-3 unit entries, half of them lowered by up to 1e-6:
+        # max-violating-pair updates alternate between two pairs here and
+        # stall (14 of these 60 fits ran out 20,000 steps before the exact
+        # finish). Every fit now converges, and to a hinge objective no
+        # higher than the alpha-form SMO's last iterate.
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            X = np.zeros((42, 16))
+            for row in X:
+                row[rng.choice(16, size=int(rng.integers(1, 4)), replace=False)] = 1.0
+            low = rng.permutation(42)[:21]
+            X[low] -= np.where(X[low] > 0, rng.uniform(0.0, 1e-6, size=(21, 16)), 0.0)
+            y = -np.ones(42)
+            y[::6] = 1.0
+            m = train_svm(X, y, c=1.0)
+            assert m.converged, seed
+            w_ref, b_ref, _ = svm_reference(X, y, 1.0)
+            j_ref = svm_objective(LinearSvm(w_ref, b_ref, 1.0), X, y)
+            assert svm_objective(m, X, y) <= j_ref + 1e-12 * abs(j_ref), seed
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)

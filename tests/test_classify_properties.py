@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from mmsparse.classify import train_svm
 
-from helpers import svm_reference
+from helpers import examples, svm_reference
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 60),

@@ -13,7 +13,7 @@ from mmsparse.dictlearn import (
     replace_dead_atoms,
 )
 from mmsparse.errors import InputError
-from mmsparse.solvers import Dictionary, SolverConfig, lasso_encode
+from mmsparse.solvers import Dictionary
 
 from helpers import unit_column_dictionary
 

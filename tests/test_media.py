@@ -10,6 +10,7 @@ from mmsparse.media import (
     AudioClip,
     FrameHistogram,
     MfccConfig,
+    _mfcc_kernels,
     _octave_band_signals,
     delta_coefficients,
     detect_keyframes,
@@ -23,6 +24,7 @@ from helpers import (
     assert_matches_tf_agc_reference,
     detect_keyframes_reference,
     mel_filterbank_reference,
+    mfcc_reference,
 )
 
 FS = 22050
@@ -305,6 +307,27 @@ class TestMfccFeatures:
         np.testing.assert_allclose(fy[:, :16], fx[1 : 1 + fy.shape[0], :16], atol=1e-9)
         # delta-delta replication reaches 4 rows; compare beyond it
         np.testing.assert_allclose(fy[4:-4], fx[5 : 1 + fy.shape[0] - 4], atol=1e-9)
+
+    def test_cached_kernels_match_a_fresh_build(self):
+        # the window and filterbank are built once per configuration; the
+        # features stay byte-identical to a build afresh on every call
+        rng = np.random.default_rng(7)
+        t = np.arange(22050) / FS
+        signals = {
+            "silence": np.zeros(4096),
+            "tone": 0.5 * np.sin(2 * np.pi * 440.0 * t),
+            "chirp": np.sin(2 * np.pi * (100.0 + 2000.0 * t) * t),
+            "noise": rng.uniform(-1, 1, size=9000),
+            "impulse": np.eye(1, 3000, 1500)[0],
+        }
+        for cfg in (MfccConfig(), MfccConfig(window_len=512, hop=256, mel_filters=20, n_coeffs=13)):
+            for name, x in signals.items():
+                clip = AudioClip(x, FS)
+                got = mfcc_features(clip, cfg)
+                assert got.tobytes() == mfcc_reference(clip, cfg).tobytes(), name
+                assert got.tobytes() == mfcc_features(clip, cfg).tobytes(), name
+            window, bank = _mfcc_kernels(cfg.mel_filters, cfg.window_len)
+            assert not window.flags.writeable and not bank.flags.writeable
 
     def test_wrong_rate_rejected(self):
         with pytest.raises(InputError):

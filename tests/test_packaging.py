@@ -41,6 +41,7 @@ KEPT = {
     "save_record": "writes the key-value run record",
     "load_record": "reads the key-value run record back",
     "file_digest": "fingerprints the files a run record names",
+    "train_svm": "the one-problem SVM API that the alpha-form reference checks",
 }
 
 

@@ -267,18 +267,6 @@ def _finish(gram, y, c, lo, hi, beta, tol, budget):
     return beta, mg, gap
 
 
-def _smo(
-    gram: np.ndarray,
-    y: np.ndarray,
-    c: float,
-    tol: float,
-    max_steps: int,
-) -> Tuple[np.ndarray, float, float]:
-    """_smo_batch of one problem: (beta, bias, gap)."""
-    betas, biases, gaps = _smo_batch(gram, y[None, :], np.array([c], dtype=float), tol, max_steps)
-    return betas[0], float(biases[0]), float(gaps[0])
-
-
 def _as_labels(labels, rows: int) -> np.ndarray:
     """labels as one +1 or -1 per row, or InputError."""
     y = _as_finite(labels, 1, name="labels")
@@ -310,21 +298,24 @@ def train_svm(
     and the model is the last iterate. The result does not depend on
     `seed`.
     """
-    _check_real(c, "c", gt=0)
-    _check_real(tol, "tol", gt=0)
-    if max_steps is not None:
-        _check_count(max_steps, "max_steps")
     X = _as_finite(x, 2, name="features", nonempty=1)
     y = _as_labels(labels, X.shape[0])
-    if np.all(y == 1.0) or np.all(y == -1.0):
-        raise InputError("training requires at least one example of each class")
     return _train_all(X, y[None, :], [c], tol, max_steps)[0]
 
 
 def _train_all(X: np.ndarray, Y: np.ndarray, cs: Sequence[float], tol: float,
                max_steps: Optional[int] = None) -> List[LinearSvm]:
     """One LinearSvm per row of the +-1 label matrix Y, row p at cost
-    cs[p], all trained by one lockstep SMO over K = X X^T."""
+    cs[p], all trained by one lockstep SMO over K = X X^T. Checks the
+    settings and that every row of Y holds both classes."""
+    for c in cs:
+        _check_real(c, "c", gt=0)
+    _check_real(tol, "tol", gt=0)
+    if max_steps is not None:
+        _check_count(max_steps, "max_steps")
+    if not np.all((Y == 1.0).any(axis=1) & (Y == -1.0).any(axis=1)):
+        raise InputError("training requires at least one example of each class, "
+                         "and 1-vs-all training at least two distinct labels")
     budget = max_steps if max_steps is not None else max(200 * X.shape[0], 20000)
     betas, biases, gaps = _smo_batch(X @ X.T, Y, np.asarray(cs, dtype=float), tol, budget)
     return [
@@ -371,10 +362,6 @@ def train_event_models(
     if len(labels) != X.shape[0]:
         raise InputError("one label per feature row required")
     event_ids = sorted(set(labels))
-    if len(event_ids) < 2:
-        raise InputError("need at least two distinct labels to train 1-vs-all models")
-    _check_real(c, "c", gt=0)
-    _check_real(tol, "tol", gt=0)
     models = _train_all(X, _one_vs_all(labels, event_ids), [c] * len(event_ids), tol)
     return EventModel(event_ids=tuple(event_ids), models=tuple(models))
 

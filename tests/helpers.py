@@ -208,7 +208,7 @@ def smo_reference(
     is the max-violating-pair gap at the returned alpha (-inf when no pair
     can move).
 
-    The alpha-form SMO that classify._smo restates in beta = y * alpha."""
+    The alpha-form SMO that classify._smo_batch restates in beta = y * alpha."""
     n = y.shape[0]
     Q = gram * np.outer(y, y)
     alpha = np.zeros(n)

@@ -6,7 +6,7 @@ import pytest
 from mmsparse.classify import (
     EventModel,
     LinearSvm,
-    _smo,
+    _smo_batch,
     cross_validate,
     decision_score,
     predict_event,
@@ -93,7 +93,8 @@ class TestTrainSvm:
         tol = 1e-9
         duals = []
         for steps in range(2000):
-            beta, _, gap = _smo(gram, y, 50.0, tol, steps)
+            betas, _, gaps = _smo_batch(gram, y[None, :], np.array([50.0]), tol, steps)
+            beta, gap = betas[0], gaps[0]
             duals.append(0.5 * float(beta @ gram @ beta) - float(y @ beta))
             if gap < tol:
                 break
@@ -281,6 +282,11 @@ class TestCrossValidate:
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
             cross_validate(np.ones((4, 2)), ["a", "a", "b", "b"], c_grid=[], folds=2)
+
+    def test_single_label_rejected(self):
+        # Folds of one label train SVMs with no negative example.
+        with pytest.raises(InputError, match="two distinct labels"):
+            cross_validate(np.arange(8.0)[:, None], ["a"] * 8, c_grid=[1.0], folds=2)
 
     def test_nonfinite_grid_value_rejected(self):
         X = np.array([[1.0], [2.0], [-1.0], [-2.0]])

@@ -281,7 +281,6 @@ def train_svm(
     x,
     labels,
     c: float,
-    seed: int = 0,
     tol: float = 1e-9,
     max_steps: Optional[int] = None,
 ) -> LinearSvm:
@@ -295,8 +294,7 @@ def train_svm(
     counting as one. converged=True means the returned model is the
     optimizer of the hinge objective up to `tol` in the dual's
     max-violating-pair gap; converged=False means the steps ran out first,
-    and the model is the last iterate. The result does not depend on
-    `seed`.
+    and the model is the last iterate.
     """
     X = _as_finite(x, 2, name="features", nonempty=1)
     y = _as_labels(labels, X.shape[0])
@@ -356,7 +354,8 @@ def train_event_models(
     """1-vs-all training: one binary SVM per distinct event label, with
     every other label (including any background label) as negatives. Each
     SVM is train_svm's, and all of them train together in one lockstep
-    SMO."""
+    SMO. `seed` is accepted and not used: training draws nothing at
+    random."""
     X = _as_finite(x, 2, name="features", nonempty=1)
     labels = [str(v) for v in event_labels]
     if len(labels) != X.shape[0]:

@@ -22,17 +22,9 @@ import numpy as np
 
 from .errors import InputError, MmsparseError, _as_finite, _check_count, _check_real
 from .rng import make_rng
-from .solvers import Dictionary, SolverConfig, SparseCode, lasso_encode_batch
+from .solvers import Dictionary, SolverConfig, lasso_encode_batch
 
-__all__ = [
-    "LearnConfig",
-    "TrainStats",
-    "init_dictionary",
-    "learn_dictionary",
-    "dictionary_update_step",
-    "replace_dead_atoms",
-    "coding_objective",
-]
+__all__ = ["LearnConfig", "TrainStats", "learn_dictionary"]
 
 
 @dataclass(frozen=True)
@@ -67,61 +59,38 @@ class TrainStats:
     converged: bool = False
 
 
-def _as_codes(codes, m: int, k: int) -> np.ndarray:
-    if not isinstance(codes, np.ndarray):
-        codes = np.stack([c.coeffs if isinstance(c, SparseCode) else c for c in codes])
-    Y = _as_finite(codes, 2, name="codes")
-    if Y.shape != (m, k):
-        raise InputError(f"codes have shape {Y.shape}, expected ({m}, {k})")
-    return Y
-
-
-def coding_objective(examples, d: Dictionary, codes, lam: float) -> float:
-    """Batch objective sum_i ||x_i - D y_i||^2 + lam ||y_i||_1."""
-    _check_real(lam, "lam", ge=0)
-    X = _as_finite(examples, 2, name="examples", nonempty=2)
-    Y = _as_codes(codes, X.shape[0], d.atom_count)
-    R = X - Y @ d.atoms.T
-    return float(np.sum(R * R) + lam * np.sum(np.abs(Y)))
-
-
-def init_dictionary(examples, k: int, seed: int) -> Dictionary:
-    """Seed a dictionary with k normalized training examples.
+def _init_atoms(X: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k normalized training examples as the columns of an atom matrix.
 
     Rows are drawn without replacement when enough nonzero rows exist,
     with replacement otherwise; all-zero rows are never selected.
     """
-    X = _as_finite(examples, 2, name="examples", nonempty=2)
-    _check_count(k, "atom count")
     norms = np.linalg.norm(X, axis=1)
     eligible = np.flatnonzero(norms > 0.0)
     if eligible.size == 0:
         raise InputError("cannot initialize a dictionary from all-zero examples")
     rng = make_rng(seed, "init-dictionary")
-    replace = eligible.size < k
-    picks = rng.choice(eligible, size=k, replace=replace)
-    atoms = (X[picks] / norms[picks, None]).T
-    return Dictionary(atoms)
+    picks = rng.choice(eligible, size=k, replace=eligible.size < k)
+    return (X[picks] / norms[picks, None]).T.copy()
 
 
-def dictionary_update_step(examples, codes, d: Dictionary) -> Dictionary:
-    """One pass of per-column updates given fixed codes.
+def _update_columns(X: np.ndarray, Y: np.ndarray, atoms: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """One pass of per-column updates given fixed codes Y; returns the new
+    atoms and the residual X - Y D^T after the pass.
 
     Unused atoms (zero code mass) are left unchanged. The total
     reconstruction error after the pass is checked to be no larger than
     before it (slack 1e-9 of max(1, error before), the rounding room).
     """
-    X = _as_finite(examples, 2, d.input_dim, "examples", nonempty=2)
-    Y = _as_codes(codes, X.shape[0], d.atom_count)
-
     A = Y.T @ Y
     B = X.T @ Y
-    atoms = np.array(d.atoms)
+    atoms = np.array(atoms)
 
     before = X - Y @ atoms.T
     err_before = float(np.sum(before * before))
 
-    for j in range(d.atom_count):
+    for j in range(atoms.shape[1]):
         ajj = A[j, j]
         if ajj <= 0.0:
             continue
@@ -130,54 +99,34 @@ def dictionary_update_step(examples, codes, d: Dictionary) -> Dictionary:
         if norm > 0.0:
             atoms[:, j] = u / norm
 
-    after = X - Y @ atoms.T
-    err_after = float(np.sum(after * after))
+    R = X - Y @ atoms.T
+    err_after = float(np.sum(R * R))
     if err_after > err_before + 1e-9 * max(1.0, err_before):
-        raise MmsparseError(
-            f"dictionary update increased reconstruction error: "
-            f"{err_before} -> {err_after}"
-        )
-    return Dictionary(atoms, modality_dims=d.modality_dims)
+        raise MmsparseError(f"dictionary update increased reconstruction error: "
+                            f"{err_before} -> {err_after}")
+    return atoms, R
 
 
-def replace_dead_atoms(
-    d: Dictionary,
-    usage,
-    examples,
-    seed: int,
-    codes,
-) -> Tuple[Dictionary, int]:
-    """Swap dead atoms for the worst-reconstructed training examples.
-
-    Atoms with zero usage are replaced, worst-reconstructed example first;
-    earlier dead atoms take worse examples, and distinct dead atoms take
-    distinct examples while any remain. Reconstruction error per example
-    comes from `codes`.
-    """
-    X = _as_finite(examples, 2, name="examples", nonempty=2)
-    usage = _as_finite(usage, 1, d.atom_count, "usage")
-    dead = np.flatnonzero(usage == 0)
+def _replace_dead(atoms: np.ndarray, X: np.ndarray, Y: np.ndarray, R: np.ndarray,
+                  seed: int) -> Tuple[np.ndarray, int]:
+    """Swap the atoms no code in Y uses for the worst-reconstructed rows
+    of X (per-row error from R = X - Y D^T; X has a nonzero row); returns
+    the atoms and the swap count. Earlier dead atoms take worse rows, and
+    distinct dead atoms take distinct rows while any remain."""
+    dead = np.flatnonzero(np.count_nonzero(Y, axis=0) == 0)
     if dead.size == 0:
-        return d, 0
+        return atoms, 0
 
-    Y = _as_codes(codes, X.shape[0], d.atom_count)
-    R = X - Y @ d.atoms.T
     errs = np.sum(R * R, axis=1)
-
     row_norms = np.linalg.norm(X, axis=1)
     order = [i for i in np.argsort(-errs, kind="stable") if row_norms[i] > 0.0]
-    if not order:
-        return d, 0
 
     rng = make_rng(seed, "replace-dead-atoms")
-    atoms = np.array(d.atoms)
+    atoms = np.array(atoms)
     for rank, atom_idx in enumerate(dead):
-        if rank < len(order):
-            row = order[rank]
-        else:
-            row = int(rng.choice(np.asarray(order)))
+        row = order[rank] if rank < len(order) else int(rng.choice(np.asarray(order)))
         atoms[:, atom_idx] = X[row] / row_norms[row]
-    return Dictionary(atoms, modality_dims=d.modality_dims), int(dead.size)
+    return atoms, int(dead.size)
 
 
 def learn_dictionary(examples, cfg: LearnConfig) -> Tuple[Dictionary, TrainStats]:
@@ -190,19 +139,18 @@ def learn_dictionary(examples, cfg: LearnConfig) -> Tuple[Dictionary, TrainStats
     because only atoms with zero usage in those codes are recycled.
     """
     X = _as_finite(examples, 2, name="examples", nonempty=2)
-    d = init_dictionary(X, cfg.atom_count, cfg.seed)
+    atoms = _init_atoms(X, cfg.atom_count, cfg.seed)
     scfg = SolverConfig(lam=cfg.lam, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     stats = TrainStats()
     prev: Optional[float] = None
 
     for epoch in range(cfg.epochs):
-        Y, _ = lasso_encode_batch(X, d, scfg)
-        d = dictionary_update_step(X, Y, d)
-        obj = coding_objective(X, d, Y, cfg.lam)
+        Y, _ = lasso_encode_batch(X, Dictionary(atoms), scfg)
+        atoms, R = _update_columns(X, Y, atoms)
+        obj = float(np.sum(R * R) + cfg.lam * np.sum(np.abs(Y)))
         stats.objective_per_epoch.append(obj)
 
-        usage = np.count_nonzero(Y, axis=0)
-        d, replaced = replace_dead_atoms(d, usage, X, seed=cfg.seed + epoch + 1, codes=Y)
+        atoms, replaced = _replace_dead(atoms, X, Y, R, seed=cfg.seed + epoch + 1)
         stats.atoms_replaced += replaced
 
         if prev is not None:
@@ -212,4 +160,4 @@ def learn_dictionary(examples, cfg: LearnConfig) -> Tuple[Dictionary, TrainStats
                 break
         prev = obj
 
-    return d, stats
+    return Dictionary(atoms), stats

@@ -131,8 +131,8 @@ class TestTrainSvm:
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         X, y = blobs(rng)
-        m1 = train_svm(X, y, c=1.0, seed=7)
-        m2 = train_svm(X, y, c=1.0, seed=99)
+        m1 = train_svm(X, y, c=1.0)
+        m2 = train_svm(X, y, c=1.0)
         assert m1.weights.tobytes() == m2.weights.tobytes()
         assert m1.bias == m2.bias
 

@@ -1,19 +1,18 @@
 """Dictionary learning: initialization, updates, dead-atom recycling, and
-the alternating loop's monotonicity and recovery behavior."""
+the alternating loop's objective, monotonicity and recovery behavior."""
 
 import numpy as np
 import pytest
 
 from mmsparse.dictlearn import (
     LearnConfig,
-    coding_objective,
-    dictionary_update_step,
-    init_dictionary,
+    _init_atoms,
+    _replace_dead,
+    _update_columns,
     learn_dictionary,
-    replace_dead_atoms,
 )
 from mmsparse.errors import InputError
-from mmsparse.solvers import Dictionary
+from mmsparse.solvers import Dictionary, SolverConfig, lasso_encode_batch
 
 from helpers import unit_column_dictionary
 
@@ -67,40 +66,40 @@ class TestLearnConfig:
 class TestInitDictionary:
     def test_all_rows_used_when_m_equals_k(self):
         X = np.eye(3)[[2, 0, 1]]
-        d = init_dictionary(X, 3, seed=42)
-        got = sorted(map(tuple, d.atoms.T))
+        atoms = _init_atoms(X, 3, seed=42)
+        got = sorted(map(tuple, atoms.T))
         want = sorted(map(tuple, X))
         assert got == want
 
     def test_single_example(self):
-        d = init_dictionary(np.array([[1.0, 0.0]]), 1, seed=0)
-        np.testing.assert_allclose(d.atoms[:, 0], [1.0, 0.0])
+        atoms = _init_atoms(np.array([[1.0, 0.0]]), 1, seed=0)
+        np.testing.assert_allclose(atoms[:, 0], [1.0, 0.0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((20, 6))
-        a = init_dictionary(X, 4, seed=9)
-        b = init_dictionary(X, 4, seed=9)
-        assert a.atoms.tobytes() == b.atoms.tobytes()
+        a = _init_atoms(X, 4, seed=9)
+        b = _init_atoms(X, 4, seed=9)
+        assert a.tobytes() == b.tobytes()
 
     def test_oversampling_with_replacement(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((3, 4))
-        d = init_dictionary(X, 10, seed=5)
-        assert d.atom_count == 10
+        atoms = _init_atoms(X, 10, seed=5)
+        assert atoms.shape == (4, 10)
 
     def test_zero_rows_never_selected(self):
         X = np.array([[0.0, 0.0], [3.0, 4.0]])
-        d = init_dictionary(X, 2, seed=1)
+        atoms = _init_atoms(X, 2, seed=1)
         np.testing.assert_allclose(
-            d.atoms, np.array([[0.6, 0.6], [0.8, 0.8]]), atol=1e-12
+            atoms, np.array([[0.6, 0.6], [0.8, 0.8]]), atol=1e-12
         )
 
     def test_empty_or_all_zero_rejected(self):
         with pytest.raises(InputError):
-            init_dictionary(np.zeros((0, 3)), 2, seed=0)
+            _init_atoms(np.zeros((0, 3)), 2, seed=0)
         with pytest.raises(InputError):
-            init_dictionary(np.zeros((4, 3)), 2, seed=0)
+            _init_atoms(np.zeros((4, 3)), 2, seed=0)
 
 
 class TestDictionaryUpdateStep:
@@ -108,8 +107,8 @@ class TestDictionaryUpdateStep:
         rng = np.random.default_rng(3)
         d = unit_column_dictionary(rng, 6, 4)
         X = rng.standard_normal((5, 6))
-        d2 = dictionary_update_step(X, np.zeros((5, 4)), d)
-        np.testing.assert_array_equal(d2.atoms, d.atoms)
+        atoms, _ = _update_columns(X, np.zeros((5, 4)), d.atoms)
+        np.testing.assert_array_equal(atoms, d.atoms)
 
     def test_rank_one_oracle(self):
         # Single example, single atom, code at its least-squares optimum:
@@ -118,9 +117,9 @@ class TestDictionaryUpdateStep:
         x = rng.standard_normal(6)
         d = unit_column_dictionary(rng, 6, 1)
         code = float(d.atoms[:, 0] @ x)
-        d2 = dictionary_update_step(x[None, :], np.array([[code]]), d)
+        atoms, _ = _update_columns(x[None, :], np.array([[code]]), d.atoms)
         np.testing.assert_allclose(
-            d2.atoms[:, 0], np.sign(code) * x / np.linalg.norm(x), atol=1e-12
+            atoms[:, 0], np.sign(code) * x / np.linalg.norm(x), atol=1e-12
         )
 
     def test_reconstruction_error_never_increases(self):
@@ -130,9 +129,10 @@ class TestDictionaryUpdateStep:
             X = rng.standard_normal((12, 5))
             Y = rng.standard_normal((12, 8)) * (rng.random((12, 8)) < 0.3)
             before = X - Y @ d.atoms.T
-            d2 = dictionary_update_step(X, Y, d)
-            after = X - Y @ d2.atoms.T
+            atoms, R = _update_columns(X, Y, d.atoms)
+            after = X - Y @ atoms.T
             assert np.sum(after * after) <= np.sum(before * before) + 1e-9
+            np.testing.assert_array_equal(R, after)
 
     def test_repeated_updates_at_large_scale_pass_their_check(self):
         # Near its fixed point a pass moves an error of ~5e9 by rounding
@@ -143,15 +143,15 @@ class TestDictionaryUpdateStep:
             X = rng.standard_normal((12, 5)) * 1e4
             Y = rng.standard_normal((12, 1)) * 1e4
             for _ in range(5):
-                d = dictionary_update_step(X, Y, d)
+                d = Dictionary(_update_columns(X, Y, d.atoms)[0])
 
     def test_columns_stay_unit_norm(self):
         rng = np.random.default_rng(6)
         d = unit_column_dictionary(rng, 5, 7)
         X = rng.standard_normal((9, 5))
         Y = rng.standard_normal((9, 7))
-        d2 = dictionary_update_step(X, Y, d)
-        np.testing.assert_allclose(np.linalg.norm(d2.atoms, axis=0), 1.0, atol=1e-9)
+        atoms, _ = _update_columns(X, Y, d.atoms)
+        np.testing.assert_allclose(np.linalg.norm(atoms, axis=0), 1.0, atol=1e-9)
 
 
 class TestReplaceDeadAtoms:
@@ -159,10 +159,11 @@ class TestReplaceDeadAtoms:
         rng = np.random.default_rng(7)
         d = unit_column_dictionary(rng, 4, 3)
         X = rng.standard_normal((6, 4))
-        codes = rng.standard_normal((6, 3))
-        d2, n = replace_dead_atoms(d, np.array([2, 1, 4]), X, seed=0, codes=codes)
+        codes = rng.standard_normal((6, 3))  # every atom is used
+        R = X - codes @ d.atoms.T
+        atoms, n = _replace_dead(d.atoms, X, codes, R, seed=0)
         assert n == 0
-        np.testing.assert_array_equal(d2.atoms, d.atoms)
+        np.testing.assert_array_equal(atoms, d.atoms)
 
     def test_dead_atom_takes_worst_example(self):
         # One atom aligned with e0 and a dead one; the example far from the
@@ -171,19 +172,20 @@ class TestReplaceDeadAtoms:
         d = Dictionary(atoms)
         X = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 5.0]])
         codes = np.array([[2.0, 0.0], [0.0, 0.0]])
-        d2, n = replace_dead_atoms(d, np.array([1, 0]), X, seed=0, codes=codes)
+        R = X - codes @ d.atoms.T
+        atoms, n = _replace_dead(d.atoms, X, codes, R, seed=0)
         assert n == 1
-        np.testing.assert_allclose(d2.atoms[:, 1], [0.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(atoms[:, 1], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_all_dead_get_distinct_examples(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((6, 4))
         d = unit_column_dictionary(rng, 4, 3)
         codes = np.zeros((6, 3))  # no atom is used
-        d2, n = replace_dead_atoms(d, np.zeros(3, dtype=int), X, seed=0, codes=codes)
+        atoms, n = _replace_dead(d.atoms, X, codes, X - codes @ d.atoms.T, seed=0)
         assert n == 3
         rows = {tuple(np.round(X[i] / np.linalg.norm(X[i]), 12)) for i in range(6)}
-        cols = [tuple(np.round(d2.atoms[:, j], 12)) for j in range(3)]
+        cols = [tuple(np.round(atoms[:, j], 12)) for j in range(3)]
         assert len(set(cols)) == 3
         assert all(c in rows for c in cols)
 
@@ -258,12 +260,19 @@ class TestLearnDictionary:
 
 class TestCodingObjective:
     def test_matches_manual_sum(self):
+        # The recorded objective is sum_i ||x_i - D y_i||^2 + lam ||y_i||_1
+        # with the epoch's codes and its updated dictionary.
         rng = np.random.default_rng(14)
-        d = unit_column_dictionary(rng, 4, 6)
         X = rng.standard_normal((3, 4))
-        Y = rng.standard_normal((3, 6))
+        cfg = LearnConfig(atom_count=6, lam=0.3, epochs=1, seed=5)
+        _, stats = learn_dictionary(X, cfg)
+        atoms = _init_atoms(X, 6, seed=5)
+        scfg = SolverConfig(lam=0.3, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+        Y, _ = lasso_encode_batch(X, Dictionary(atoms), scfg)
+        assert np.sum(np.abs(Y)) > 0.0
+        atoms, _ = _update_columns(X, Y, atoms)
         manual = 0.0
         for i in range(3):
-            r = X[i] - d.atoms @ Y[i]
+            r = X[i] - atoms @ Y[i]
             manual += r @ r + 0.3 * np.sum(np.abs(Y[i]))
-        assert coding_objective(X, d, Y, 0.3) == pytest.approx(manual, abs=1e-12)
+        assert stats.objective_per_epoch[0] == pytest.approx(manual, abs=1e-12)

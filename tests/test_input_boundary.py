@@ -21,14 +21,7 @@ from mmsparse.classify import (
     train_event_models,
     train_svm,
 )
-from mmsparse.dictlearn import (
-    LearnConfig,
-    coding_objective,
-    dictionary_update_step,
-    init_dictionary,
-    learn_dictionary,
-    replace_dead_atoms,
-)
+from mmsparse.dictlearn import LearnConfig, learn_dictionary
 from mmsparse.errors import InputError
 from mmsparse.features import (
     PooledFeature,
@@ -101,15 +94,7 @@ CASES = {
     "predict_event": (x, lambda a: predict_event(EM, a)),
     "train_event_models": (X, lambda a: train_event_models(a, EVENTS, 1.0)),
     "cross_validate": (X, lambda a: cross_validate(a, EVENTS, [1.0], folds=2)),
-    "init_dictionary": (X, lambda a: init_dictionary(a, 3, seed=0)),
     "learn_dictionary": (X, lambda a: learn_dictionary(a, LEARN)),
-    "dictionary_update_step:examples": (X, lambda a: dictionary_update_step(a, Y, D)),
-    "dictionary_update_step:codes": (Y, lambda a: dictionary_update_step(X, a, D)),
-    "replace_dead_atoms:examples": (X, lambda a: replace_dead_atoms(D, np.zeros(3), a, 0, Y)),
-    "replace_dead_atoms:codes": (Y, lambda a: replace_dead_atoms(D, np.zeros(3), X, 0, a)),
-    "replace_dead_atoms:usage": (np.zeros(3), lambda a: replace_dead_atoms(D, a, X, 0, Y)),
-    "coding_objective:examples": (X, lambda a: coding_objective(a, D, Y, 0.1)),
-    "coding_objective:codes": (Y, lambda a: coding_objective(X, D, a, 0.1)),
     "fit_whitening": (X, lambda a: fit_whitening(a, 2)),
     "apply_whitening": (X, lambda a: apply_whitening(WHITEN, a)),
     "WhiteningTransform:mean": (WHITEN.mean, lambda a: replace(WHITEN, mean=a)),
@@ -206,10 +191,6 @@ SETTINGS = {
     "LearnConfig:objective_tol": (1e-6, lambda v: replace(LEARN, objective_tol=v), 0.0),
     "LearnConfig:solver_tol": (1e-8, lambda v: replace(LEARN, solver_tol=v), 0.0),
     "LearnConfig:solver_max_iter": (10, lambda v: replace(LEARN, solver_max_iter=v), 0),
-    "init_dictionary:k": (3, lambda v: init_dictionary(X, v, seed=0), 0),
-    "init_dictionary:seed": (0, lambda v: init_dictionary(X, 3, seed=v), None),
-    "coding_objective:lam": (0.1, lambda v: coding_objective(X, D, Y, v), -0.1),
-    "replace_dead_atoms:seed": (0, lambda v: replace_dead_atoms(D, np.zeros(3), X, v, Y), None),
     "WhiteningTransform:out_dim": (2, lambda v: replace(WHITEN, out_dim=v), 0),
     "WhiteningTransform:epsilon": (1e-5, lambda v: replace(WHITEN, epsilon=v), -1.0),
     "fit_whitening:d": (2, lambda v: fit_whitening(X, v), 0),

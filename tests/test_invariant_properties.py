@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mmsparse.dictlearn import dictionary_update_step
+from mmsparse.dictlearn import _update_columns
 from mmsparse.errors import InputError
 from mmsparse.gmm import fit_gmm_em
 from mmsparse.metrics import RankedList, average_precision
@@ -26,14 +26,15 @@ from mmsparse.multimodal import (
     lambda_joint_of,
     split_joint,
 )
+from mmsparse.solvers import Dictionary
 from mmsparse.storage import load_matrix, load_record, save_matrix, save_record
 
-from helpers import lasso_objective, unit_column_dictionary
+from helpers import examples, lasso_objective, unit_column_dictionary
 
 F32_MAX = float(np.finfo(np.float32).max)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     hnp.arrays(
         np.float64,
@@ -51,7 +52,7 @@ def test_matrix_file_round_trip_is_bit_exact_after_float32_cast(matrix):
     assert loaded.tobytes() == want.tobytes()
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=6))
 def test_record_round_trip(entries):
     """save_record either refuses a record or writes one that load_record
@@ -73,7 +74,7 @@ def test_record_round_trip(entries):
         assert load_record(path) == entries
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(
     st.lists(
         st.tuples(st.floats(-1e6, 1e6), st.booleans()), min_size=1, max_size=20
@@ -95,7 +96,7 @@ def test_average_precision_range_and_perfect_ranking(items, separate):
         assert ap == 1.0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     na=st.integers(1, 6),
@@ -124,7 +125,7 @@ def _squared_error(X, Y, atoms) -> float:
     return float(np.sum(R * R))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(1, 20),
@@ -135,7 +136,7 @@ def _squared_error(X, Y, atoms) -> float:
     passes=st.integers(1, 4),
 )
 def test_dictionary_update_never_raises_error(seed, m, n, k, log_scale, density, passes):
-    """Each pass of dictionary_update_step, also on its own output, keeps
+    """Each pass of _update_columns, also on its own output, keeps
     the reconstruction error within 1e-9 of max(1, error before)."""
     rng = np.random.default_rng(seed)
     d = unit_column_dictionary(rng, n, k)
@@ -143,11 +144,11 @@ def test_dictionary_update_never_raises_error(seed, m, n, k, log_scale, density,
     Y = rng.standard_normal((m, k)) * 10.0**log_scale * (rng.random((m, k)) < density)
     for _ in range(passes):
         before = _squared_error(X, Y, d.atoms)
-        d = dictionary_update_step(X, Y, d)
+        d = Dictionary(_update_columns(X, Y, d.atoms)[0])
         assert _squared_error(X, Y, d.atoms) <= before + 1e-9 * max(1.0, before)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 40),

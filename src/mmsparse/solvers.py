@@ -178,75 +178,75 @@ def _path(c0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int):
     As mu falls from max|c0| to lam/2, the active atoms A with signs s_A
     keep y_A(mu) = G_AA^-1 (c0_A - mu s_A) = u - mu w, and every correlation
     c(mu) = c0 - G[:, A] y_A(mu) = p + mu q stays within +-mu. A step ends
-    at the largest mu below the current one where an inactive c_j reaches
-    +-mu (j joins A) or an active y_j reaches 0 (j leaves A). M = G_AA^-1
-    is updated as atoms join and leave; that was 13-27% faster per row than
-    a fresh factorization at each step. Returns (A, y_A) at mu = lam/2, or
-    None when the path needs more than max_iter steps or G_AA turns
-    singular.
+    at the largest mu below the current one where an active y_j reaches 0
+    (j leaves A) or an inactive c_j reaches +-mu (j joins A); on a tie a
+    leave goes first, then the lowest atom, then +mu. M = G_AA^-1 is
+    updated as atoms join and leave. Returns (A, y_A) at mu = lam/2, or None
+    when the path needs more than max_iter steps or G_AA turns singular.
     """
-    j = int(np.argmax(np.abs(c0)))
+    k, j = c0.shape[0], int(np.abs(c0).argmax())
     if abs(c0[j]) <= half_lam:
         return [], np.zeros(0)
-    active, signs = [j], [1.0 if c0[j] > 0 else -1.0]
-    M = np.array([[1.0 / G[j, j]]])
-    inactive = np.ones(c0.shape[0], dtype=bool)
-    inactive[j] = False
-    left, left_sign = -1, 0.0  # the atom that left in the previous step
+    active, M, pm = [j], np.array([[1.0 / G[j, j]]]), np.array([1.0, -1.0])
+    cs = np.empty((k, 2))  # (c0_j, s_j) of the active atoms, in A's order
+    cs[0] = c0[j], 1.0 if c0[j] > 0 else -1.0
+    # a step's candidate mu: leaves in A's order, then joins at +-mu by atom
+    cand = np.empty(3 * k)
+    leaves, joins = cand[:k], cand[k:].reshape(k, 2)
+    sel = np.repeat(pm[None], k, axis=0)  # a join branch's +-1, or 0 if barred
+    sel[j] = 0.0
+    blocked = None  # the branch an atom that just left may not rejoin by
     for _ in range(max_iter):
+        n = len(active)
         GA = G[:, active]
-        u, w = (M @ np.column_stack([c0[active], signs])).T
+        u, w = (M @ cs[:n]).T
         p = c0 - GA @ u
         q = GA @ w
-        # joins: p_j + mu q_j reaches +mu (while 1 - q_j > 0) or -mu (while
-        # 1 + q_j > 0) at these mu. An atom that just left sits at
-        # s_j mu, a root of its own sign's branch: only the other can count.
-        up_ok, down_ok = inactive & (q < 1.0), inactive & (q > -1.0)
-        if left >= 0:
-            (up_ok if left_sign > 0 else down_ok)[left] = False
-        up = np.where(up_ok, p, -np.inf) / np.where(up_ok, 1.0 - q, 1.0)
-        down = np.where(down_ok, -p, -np.inf) / np.where(down_ok, 1.0 + q, 1.0)
-        jn = int(np.argmax(np.maximum(up, down)))
-        mu_join = max(up[jn], down[jn])
-        # drops: y_j shrinks to 0 where s_j w_j < 0. An atom that joined
+        cand.fill(-np.inf)
+        # leaves: y_j shrinks to 0 where s_j w_j < 0. An atom that joined
         # moving against its sign has y_j = 0 already and leaves at once.
-        shrinks = np.asarray(signs) * w < 0.0
-        drops = np.where(shrinks, u, -np.inf) / np.where(shrinks, w, 1.0)
-        dr = int(np.argmax(drops))
-        if max(mu_join, drops[dr]) <= half_lam:
+        np.divide(u, w, out=leaves[:n], where=cs[:n, 1] * w < 0.0)
+        # joins: p_j + mu q_j reaches +-mu at p_j / (+-1 - q_j), while
+        # 1 -+ q_j > 0. An atom that just left sits at s_j mu, a root of
+        # its own sign's branch: only the other can count.
+        den = pm - q[:, None]
+        np.divide(p[:, None], den, out=joins, where=den * sel > 0.0)
+        f = int(cand.argmax())
+        if cand[f] <= half_lam:
             # solved afresh: the updates of M leave rounding behind
-            end = c0[active] - half_lam * np.asarray(signs)
-            return active, np.linalg.solve(GA[active], end)
-        if drops[dr] >= mu_join:
-            left, left_sign = active.pop(dr), signs.pop(dr)
-            inactive[left] = True
-            keep = np.arange(M.shape[0]) != dr
-            M = M[keep][:, keep] - np.outer(M[keep, dr], M[dr, keep]) / M[dr, dr]
-        else:
-            # bordered inverse; its pivot is the Cholesky pivot of jn
-            b = M @ GA[jn]
-            pivot = G[jn, jn] - GA[jn] @ b
-            if not pivot >= _PIVOT_RTOL * G[jn, jn]:
-                return None
-            n = M.shape[0]
-            grown = np.empty((n + 1, n + 1))
-            grown[:n, :n] = M + np.outer(b, b) / pivot
-            grown[:n, n] = grown[n, :n] = -b / pivot
-            grown[n, n] = 1.0 / pivot
-            M = grown
-            left = -1
-            active.append(jn)
-            signs.append(1.0 if up[jn] >= down[jn] else -1.0)
-            inactive[jn] = False
+            return active, np.linalg.solve(GA[active], cs[:n, 0] - half_lam * cs[:n, 1])
+        if blocked:
+            sel[blocked], blocked = pm[blocked[1]], None
+        if f < k:
+            blocked = active.pop(f), int(cs[f, 1] < 0)
+            sel[blocked[0]] = pm * (pm != cs[f, 1])
+            cs[f:n - 1] = cs[f + 1:n]
+            keep = np.arange(n) != f
+            M = M[keep][:, keep] - M[keep, f][:, None] * M[f, keep] / M[f, f]
+            continue
+        # bordered inverse; its pivot is the Cholesky pivot of jn
+        jn, branch = divmod(f - k, 2)
+        b = M @ GA[jn]
+        pivot = G[jn, jn] - GA[jn] @ b
+        if not pivot >= _PIVOT_RTOL * G[jn, jn]:
+            return None
+        grown = np.empty((n + 1, n + 1))
+        grown[:n, :n] = M + b[:, None] * b / pivot
+        grown[:n, n] = grown[n, :n] = -b / pivot
+        grown[n, n] = 1.0 / pivot
+        M = grown
+        active.append(jn)
+        cs[n] = c0[jn], pm[branch]
+        sel[jn] = 0.0
     return None
 
 
 # Calls with at least this many rows take the lockstep homotopy. Timed on
 # the rows of the benchmark's dictionary-learning calls against trained
-# 8- to 20-D, 32-atom dictionaries (one BLAS thread, median over 30 calls),
-# per-row paths against the lockstep: 4 rows 0.24 against 0.50 ms, 8 rows
-# 0.50 against 0.54, 12 rows 0.70 against 0.50, 16 rows 0.87 against 0.50,
-# 144 rows 7.4 against 1.4.
+# 8- to 20-D, 32-atom dictionaries (one BLAS thread, median over 60 calls,
+# on a shared 2-core host), per-row paths against the lockstep: 4 rows
+# 0.39 against 0.99 ms, 8 rows 0.62 against 0.97, 12 rows 0.93 against
+# 1.15, 16 rows 1.17 against 1.04, 144 rows 9.0 against 1.9.
 _LOCKSTEP_MIN_ROWS = 16
 
 # The lockstep's close-call guard. Its arithmetic rounds unlike _path's, so

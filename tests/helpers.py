@@ -12,7 +12,7 @@ from scipy.fft import dct
 from mmsparse.classify import LinearSvm, _as_labels
 from mmsparse.errors import _as_finite, _check_real
 from mmsparse.media import AudioClip, MfccConfig, delta_coefficients, mel_filterbank, tf_agc
-from mmsparse.solvers import Dictionary, _example_and_code
+from mmsparse.solvers import _PIVOT_RTOL, Dictionary, _example_and_code
 
 
 def examples(count: int) -> int:
@@ -79,6 +79,77 @@ def proximal_gradient_lasso(x, atoms, lam, max_iter=1_000_000, stop_delta=1e-14)
             break
         y = y_next
     return y
+
+
+def path_reference(c0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int):
+    """The LASSO homotopy of one row, given c0 = D^T x and G = D^T D, with
+    masked copies of each candidate array at every step: the reference that
+    solvers._path must match, with the same active list and the same y_A
+    bytes, or None where this returns None.
+
+    As mu falls from max|c0| to lam/2, the active atoms A with signs s_A
+    keep y_A(mu) = G_AA^-1 (c0_A - mu s_A) = u - mu w, and every correlation
+    c(mu) = c0 - G[:, A] y_A(mu) = p + mu q stays within +-mu. A step ends
+    at the largest mu below the current one where an inactive c_j reaches
+    +-mu (j joins A) or an active y_j reaches 0 (j leaves A). M = G_AA^-1
+    is updated as atoms join and leave. Returns (A, y_A) at mu = lam/2, or
+    None when the path needs more than max_iter steps or G_AA turns
+    singular.
+    """
+    j = int(np.argmax(np.abs(c0)))
+    if abs(c0[j]) <= half_lam:
+        return [], np.zeros(0)
+    active, signs = [j], [1.0 if c0[j] > 0 else -1.0]
+    M = np.array([[1.0 / G[j, j]]])
+    inactive = np.ones(c0.shape[0], dtype=bool)
+    inactive[j] = False
+    left, left_sign = -1, 0.0  # the atom that left in the previous step
+    for _ in range(max_iter):
+        GA = G[:, active]
+        u, w = (M @ np.column_stack([c0[active], signs])).T
+        p = c0 - GA @ u
+        q = GA @ w
+        # joins: p_j + mu q_j reaches +mu (while 1 - q_j > 0) or -mu (while
+        # 1 + q_j > 0) at these mu. An atom that just left sits at
+        # s_j mu, a root of its own sign's branch: only the other can count.
+        up_ok, down_ok = inactive & (q < 1.0), inactive & (q > -1.0)
+        if left >= 0:
+            (up_ok if left_sign > 0 else down_ok)[left] = False
+        up = np.where(up_ok, p, -np.inf) / np.where(up_ok, 1.0 - q, 1.0)
+        down = np.where(down_ok, -p, -np.inf) / np.where(down_ok, 1.0 + q, 1.0)
+        jn = int(np.argmax(np.maximum(up, down)))
+        mu_join = max(up[jn], down[jn])
+        # drops: y_j shrinks to 0 where s_j w_j < 0. An atom that joined
+        # moving against its sign has y_j = 0 already and leaves at once.
+        shrinks = np.asarray(signs) * w < 0.0
+        drops = np.where(shrinks, u, -np.inf) / np.where(shrinks, w, 1.0)
+        dr = int(np.argmax(drops))
+        if max(mu_join, drops[dr]) <= half_lam:
+            # solved afresh: the updates of M leave rounding behind
+            end = c0[active] - half_lam * np.asarray(signs)
+            return active, np.linalg.solve(GA[active], end)
+        if drops[dr] >= mu_join:
+            left, left_sign = active.pop(dr), signs.pop(dr)
+            inactive[left] = True
+            keep = np.arange(M.shape[0]) != dr
+            M = M[keep][:, keep] - np.outer(M[keep, dr], M[dr, keep]) / M[dr, dr]
+        else:
+            # bordered inverse; its pivot is the Cholesky pivot of jn
+            b = M @ GA[jn]
+            pivot = G[jn, jn] - GA[jn] @ b
+            if not pivot >= _PIVOT_RTOL * G[jn, jn]:
+                return None
+            n = M.shape[0]
+            grown = np.empty((n + 1, n + 1))
+            grown[:n, :n] = M + np.outer(b, b) / pivot
+            grown[:n, n] = grown[n, :n] = -b / pivot
+            grown[n, n] = 1.0 / pivot
+            M = grown
+            left = -1
+            active.append(jn)
+            signs.append(1.0 if up[jn] >= down[jn] else -1.0)
+            inactive[jn] = False
+    return None
 
 
 def octave_band_signals_ref(x: np.ndarray, n_bands: int) -> np.ndarray:
@@ -208,39 +279,43 @@ def smo_reference(
     is the max-violating-pair gap at the returned alpha (-inf when no pair
     can move).
 
-    The alpha-form SMO that classify._smo_batch restates in beta = y * alpha."""
+    The alpha-form SMO that classify._smo_batch restates in beta = y * alpha.
+    A step changes alpha at i and j only, so the masks of the coordinates
+    that can move up and down are updated there, and the step's scalar
+    arithmetic runs on Python floats, which round as NumPy's do."""
     n = y.shape[0]
     Q = gram * np.outer(y, y)
+    Q_cols = np.ascontiguousarray(Q.T)  # Q_cols[i] is Q[:, i]
+    q_diag, ys, pos = Q.diagonal().tolist(), y.tolist(), (y > 0).tolist()
+    neg_y = -y
     alpha = np.zeros(n)
     grad = -np.ones(n)  # Q @ alpha - 1
-    pos = y > 0
-    gap = np.inf  # nothing measured yet
+    up = np.where(y > 0, alpha < c, alpha > 0)
+    low = np.where(y > 0, alpha > 0, alpha < c)
     for step in range(max_steps + 1):
-        mg = -y * grad
-        up = np.where(pos, alpha < c, alpha > 0)
-        low = np.where(pos, alpha > 0, alpha < c)
-        if not up.any() or not low.any():
-            gap = -np.inf
-            break
+        mg = neg_y * grad
         mg_up = np.where(up, mg, -np.inf)
         mg_low = np.where(low, mg, np.inf)
-        i = int(np.argmax(mg_up))
-        j = int(np.argmin(mg_low))
-        gap = float(mg_up[i] - mg_low[j])
+        i, j = int(mg_up.argmax()), int(mg_low.argmin())
+        # -inf when no coordinate can move up or none down
+        gap = mg_up.item(i) - mg_low.item(j)
         if gap < tol or step == max_steps:
             break
-        si, sj = y[i], y[j]
-        quad = max(Q[i, i] + Q[j, j] - 2.0 * si * sj * Q[i, j], 1e-12)
-        t = -(si * grad[i] - sj * grad[j]) / quad
-        lo_i, hi_i = sorted(((0.0 - alpha[i]) * si, (c - alpha[i]) * si))
-        lo_j, hi_j = sorted(((alpha[j] - c) * sj, alpha[j] * sj))
+        si, sj, a_i, a_j = ys[i], ys[j], alpha.item(i), alpha.item(j)
+        quad = max(q_diag[i] + q_diag[j] - 2.0 * si * sj * Q.item(i, j), 1e-12)
+        t = -(si * grad.item(i) - sj * grad.item(j)) / quad
+        lo_i, hi_i = sorted(((0.0 - a_i) * si, (c - a_i) * si))
+        lo_j, hi_j = sorted(((a_j - c) * sj, a_j * sj))
         t = min(max(t, max(lo_i, lo_j)), min(hi_i, hi_j))
         if t == 0.0:
             break
         d_i, d_j = si * t, -sj * t
-        alpha[i] = min(max(alpha[i] + d_i, 0.0), c)
-        alpha[j] = min(max(alpha[j] + d_j, 0.0), c)
-        grad += Q[:, i] * d_i + Q[:, j] * d_j
+        alpha[i] = min(max(a_i + d_i, 0.0), c)
+        alpha[j] = min(max(alpha.item(j) + d_j, 0.0), c)
+        grad += Q_cols[i] * d_i + Q_cols[j] * d_j
+        for r in (i, j):
+            a = alpha.item(r)
+            up[r], low[r] = (a < c, a > 0) if pos[r] else (a > 0, a < c)
     return alpha, grad, gap
 
 

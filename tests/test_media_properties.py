@@ -7,12 +7,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_matches_tf_agc_reference
+from helpers import assert_matches_tf_agc_reference, examples
 
 FS = 22050
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     length=st.integers(1, 4000),

@@ -1,5 +1,6 @@
 """Property tests of the LASSO engine, from one row up to 170, past the
-benchmark's largest call (168 rows).
+benchmark's largest call (168 rows), and of one row's homotopy path against
+its reference.
 
 Kept apart from test_solvers.py so that a checkout without hypothesis still
 collects the solver oracles there."""
@@ -13,12 +14,13 @@ from mmsparse.solvers import (
     Dictionary,
     SolverConfig,
     _homotopy,
+    _path,
     kkt_violation,
     lasso_encode,
     lasso_encode_batch,
 )
 
-from helpers import examples, unit_column_dictionary
+from helpers import examples, path_reference, unit_column_dictionary
 
 
 @settings(max_examples=examples(40), deadline=None)
@@ -104,3 +106,42 @@ def test_converged_rows_are_exact(seed, m, n, k, lam, split):
     for x, y in zip(xs[ok], codes[ok]):
         scale = max(1.0, float(np.max(np.abs(2.0 * d.atoms.T @ x))))
         assert kkt_violation(x, d, y, lam) <= 1e-12 * scale
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 20),
+    k=st.integers(1, 32),
+    lam=st.floats(0.01, 2.0),
+    style=st.sampled_from(["unit", "rescaled", "split"]),
+    twins=st.booleans(),
+    copies=st.booleans(),
+    max_iter=st.one_of(st.integers(1, 3), st.just(1000)),
+)
+def test_path_matches_reference(seed, n, k, lam, style, twins, copies, max_iter):
+    # Over unit-norm, rescaled and split-style atoms, with or without twin
+    # atoms 1e-7 apart and an exact copy of an atom, on a budget that cuts
+    # most paths short or one that lets them end: _path takes the
+    # reference's steps, so it returns the same active list and the same
+    # y_A bytes, or None where the reference does.
+    rng = np.random.default_rng(seed)
+    atoms = np.array(unit_column_dictionary(rng, n, k).atoms)
+    if twins and k >= 2:
+        twin = atoms[:, 0] + 1e-7 * rng.standard_normal(n)
+        atoms[:, -1] = twin / np.linalg.norm(twin)
+    if copies and k >= 3:
+        atoms[:, 1] = atoms[:, 2]
+    if style == "rescaled":
+        atoms = atoms * rng.uniform(0.2, 3.0, size=k)
+    elif style == "split":
+        atoms = atoms[: max(1, n // 2)] * np.sqrt(max(1, n // 2))
+    x = rng.standard_normal(atoms.shape[0]) * rng.uniform(0.5, 3.0)
+    c0, G = atoms.T @ x, atoms.T @ atoms
+    got = _path(c0, G, 0.5 * lam, max_iter)
+    ref = path_reference(c0, G, 0.5 * lam, max_iter)
+    if ref is None:
+        assert got is None
+    else:
+        assert got[0] == ref[0]
+        assert got[1].tobytes() == ref[1].tobytes()

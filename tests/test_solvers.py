@@ -10,6 +10,7 @@ from mmsparse.solvers import (
     SolverConfig,
     SparseCode,
     _homotopy,
+    _path,
     kkt_violation,
     lasso_encode,
     lasso_encode_batch,
@@ -18,6 +19,7 @@ from mmsparse.solvers import (
 from helpers import (
     lasso_objective,
     lasso_objective_ref,
+    path_reference,
     proximal_gradient_lasso,
     unit_column_dictionary,
 )
@@ -276,6 +278,31 @@ class TestHomotopyPath:
         assert ok.all()
         for x, y in zip(xs, codes):
             assert kkt_violation(x, d, y, cfg.lam) <= exact_kkt_bound(x, d)
+
+    def test_drop_and_rejoin_matches_reference(self):
+        # Atom 4 joins with sign -1 at mu = 0.97, leaves at mu = 0.34 and at
+        # the very next event rejoins with sign +1: the branch of its old
+        # sign is barred for that one step. At each lam the code is the
+        # reference path's to the byte and passes the KKT test at tol.
+        rng = np.random.default_rng(528)
+        atoms = rng.standard_normal((3, 5))
+        d = Dictionary(atoms / np.linalg.norm(atoms, axis=0))
+        x = 2.0 * rng.standard_normal(3)
+        c0, G = d.atoms.T @ x, d.atoms.T @ d.atoms
+        signs = []
+        for lam in (1.0, 0.4, 0.2):
+            active, y_A = _path(c0, G, 0.5 * lam, 1000)
+            ref_active, ref_y = path_reference(c0, G, 0.5 * lam, 1000)
+            assert active == ref_active and y_A.tobytes() == ref_y.tobytes()
+            code = lasso_encode(x, d, SolverConfig(lam=lam))
+            assert code.converged
+            np.testing.assert_array_equal(code.coeffs[active], y_A)
+            assert kkt_violation(x, d, code, lam) <= SolverConfig(lam=lam).tol
+            signs.append(np.sign(code.coeffs[4]))
+        assert signs == [-1.0, 0.0, 1.0]
+        # 4 events after the first atom, then the end: 3 joins and 1 leave
+        assert _path(c0, G, 0.1, 4) is None
+        assert len(_path(c0, G, 0.1, 5)[0]) == 3
 
 
 class TestFallbacks:

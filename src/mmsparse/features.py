@@ -8,8 +8,8 @@ data). Eigenvector signs are fixed so the largest-magnitude entry of each
 basis column is positive, which makes the fit fully deterministic.
 
 Pooling is the plain signed elementwise maximum. It is associative, so
-pooling codes per keyframe and then across keyframes equals pooling the
-whole clip in one pass.
+the paper's two stages, per keyframe and then across keyframes, equal one
+pass over every code of the clip, which is how pool_clip takes them.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,6 @@ __all__ = [
     "MODALITY_TAGS",
     "fit_whitening",
     "apply_whitening",
-    "max_pool",
     "pool_clip",
 ]
 
@@ -129,19 +128,17 @@ def apply_whitening(w: WhiteningTransform, x) -> np.ndarray:
     return ((X - w.mean) @ w.basis) * w.scales
 
 
-def max_pool(codes: Sequence) -> np.ndarray:
-    """Elementwise maximum over a non-empty list of equal-length vectors."""
-    return _as_finite(codes, 2, name="codes", nonempty=1).max(axis=0)
-
-
 def pool_clip(
     keyframe_groups: Sequence[Sequence],
     clip_id: str,
     modality_tag: str,
 ) -> PooledFeature:
-    """Two-stage pooling: within each keyframe's codes, then across
-    keyframes. Max is associative, so this equals one flat pool over every
-    code in the clip.
+    """Two-stage pooling, within each keyframe's codes and then across
+    keyframes, taken as one max over every code of the clip: max is
+    associative, so the two are equal. Every group must hold a code.
     """
-    staged = max_pool([max_pool(list(g)) for g in keyframe_groups])
-    return PooledFeature(values=staged, clip_id=clip_id, modality_tag=modality_tag)
+    groups = [list(g) for g in keyframe_groups]
+    if not groups or not all(groups):
+        raise InputError("pool_clip needs at least one keyframe group, each with a code")
+    codes = _as_finite([c for g in groups for c in g], 2, name="codes")
+    return PooledFeature(values=codes.max(axis=0), clip_id=clip_id, modality_tag=modality_tag)

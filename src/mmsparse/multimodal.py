@@ -29,7 +29,7 @@ import numpy as np
 
 from .dictlearn import LearnConfig, TrainStats, learn_dictionary
 from .errors import InputError, _as_finite, _check_count, _check_real
-from .solvers import Dictionary, SolverConfig, SparseCode, lasso_encode
+from .solvers import Dictionary, SolverConfig, SparseCode, lasso_encode_batch
 
 __all__ = [
     "ModalityPair",
@@ -57,16 +57,20 @@ class ModalityPair:
 
 @dataclass(frozen=True)
 class JointDictionary:
-    """A dictionary learned on fused inputs, remembering the l1 weight it
-    was trained with."""
+    """A dictionary learned on fused inputs, and the modality split of its
+    rows, which this type owns: `inner` is a plain Dictionary whose first
+    modality_dims[0] rows are the audio block and the rest the video block."""
 
     inner: Dictionary
-    lambda_joint: float
+    modality_dims: Tuple[int, int]
 
     def __post_init__(self):
-        if self.inner.modality_dims is None:
-            raise InputError("joint dictionary requires modality_dims")
-        _check_real(self.lambda_joint, "lambda_joint", ge=0)
+        dims = ModalityPair(*self.modality_dims)
+        na, nv = int(dims.audio_dim), int(dims.video_dim)
+        if na + nv != self.inner.input_dim:
+            raise InputError(f"modality_dims {self.modality_dims} do not sum to "
+                             f"input dim {self.inner.input_dim}")
+        object.__setattr__(self, "modality_dims", (na, nv))
 
 
 def fuse_rows(audio: np.ndarray, video: np.ndarray) -> np.ndarray:
@@ -91,8 +95,7 @@ def learn_joint(pairs, cfg: LearnConfig) -> Tuple[JointDictionary, TrainStats]:
     fused = fuse_rows([xa for xa, _ in pairs], [xv for _, xv in pairs])
     dims = ModalityPair(np.size(pairs[0][0]), np.size(pairs[0][1]))
     d, stats = learn_dictionary(fused, cfg)
-    joint = Dictionary(d.atoms, modality_dims=(dims.audio_dim, dims.video_dim))
-    return JointDictionary(inner=joint, lambda_joint=cfg.lam), stats
+    return JointDictionary(d, (dims.audio_dim, dims.video_dim)), stats
 
 
 def split_joint(jd: JointDictionary) -> Tuple[Dictionary, Dictionary]:
@@ -102,7 +105,7 @@ def split_joint(jd: JointDictionary) -> Tuple[Dictionary, Dictionary]:
     reproduces the joint matrix; their columns are not unit norm and the
     returned dictionaries are flagged accordingly.
     """
-    na, nv = jd.inner.modality_dims
+    na, nv = jd.modality_dims
     atoms = jd.inner.atoms
     audio = Dictionary(atoms[:na, :] * math.sqrt(na), normalized=False)
     video = Dictionary(atoms[na:, :] * math.sqrt(nv), normalized=False)
@@ -117,8 +120,13 @@ def encode_cross_modal(
     max_iter: int = 1000,
 ) -> SparseCode:
     """Code a single-modality vector against its block of a joint
-    dictionary with the per-modality l1 weight lambda2 (finite, >= 0)."""
-    return lasso_encode(x, d_split, SolverConfig(lam=lambda2, tol=tol, max_iter=max_iter))
+    dictionary with the per-modality l1 weight lambda2 (finite, >= 0), as
+    a one-row lasso_encode_batch call; converged=False marks a code that
+    missed tol (see lasso_encode_batch)."""
+    cfg = SolverConfig(lam=lambda2, tol=tol, max_iter=max_iter)
+    x = _as_finite(x, 1, d_split.input_dim)
+    codes, converged = lasso_encode_batch(x[None, :], d_split, cfg)
+    return SparseCode(codes[0], converged=bool(converged[0]))
 
 
 def lambda_joint_of(lambda2: float, dims: ModalityPair) -> float:

@@ -9,18 +9,18 @@ threshold sits at lam / 2 and the KKT conditions read
     active k:    |2 d_k^T (x - D y) - lam * sign(y_k)| <= tol
     inactive k:  |2 d_k^T (x - D y)| <= lam + tol
 
-Every l1 coder goes through one engine, lasso_encode_batch: lasso_encode
-is its one-row case, and dictionary learning and cross-modal coding call
-it too. Columns need not be unit norm (split dictionaries produced from a
-joint dictionary are not). Each row follows the LASSO homotopy (Osborne,
-Presnell & Turlach, IMA J. Numer. Anal. 2000; LARS with drops in Efron et
-al., Ann. Statist. 2004), whatever the batch size. From mu = max|D^T x| it
-follows y_A = G_AA^-1 (D_A^T x - mu s_A) down to mu = lam/2, where A is
-the active set and s_A its signs; an atom joins A when its correlation
-reaches mu and leaves when its coefficient reaches 0. G = D^T D is formed
-once per call; the inverse of G_AA is updated as atoms join and leave, and
-the end point is solved afresh. The path ends exactly, so the KKT test at
-tol is a postcondition, not a stopping rule.
+Every l1 coder goes through one engine, lasso_encode_batch, over a plain
+matrix of atoms; a one-row call codes one example. Columns need not be
+unit norm (split dictionaries produced from a joint dictionary are not).
+Each row follows the LASSO homotopy (Osborne, Presnell & Turlach, IMA J.
+Numer. Anal. 2000; LARS with drops in Efron et al., Ann. Statist. 2004),
+whatever the batch size. From mu = max|D^T x| it follows
+y_A = G_AA^-1 (D_A^T x - mu s_A) down to mu = lam/2, where A is the active
+set and s_A its signs; an atom joins A when its correlation reaches mu and
+leaves when its coefficient reaches 0. G = D^T D is formed once per call;
+the inverse of G_AA is updated as atoms join and leave, and the end point
+is solved afresh. The path ends exactly, so the KKT test at tol is a
+postcondition, not a stopping rule.
 
 A call of at least _LOCKSTEP_MIN_ROWS rows (dictionary learning's
 training sets, say) takes the paths in lockstep: each step takes the next
@@ -29,7 +29,7 @@ active sets, and a finished row's end point is solved as _path solves it.
 Those products round unlike _path's, so a close-call guard sends any row
 whose next event is a near-tie (see _TIE_RTOL) to _path; the codes and flags
 are then _path's, bit for bit. Smaller calls (one clip's rows, one
-cross-modal row) run _path row by row.
+example) run _path row by row.
 
 A row whose path fails (see lasso_encode_batch) falls back to cyclic
 coordinate descent. The fallback rows run together in NumPy, in fixed
@@ -39,7 +39,7 @@ then its KKT violation fall below tol.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "Dictionary",
     "SparseCode",
     "SolverConfig",
-    "lasso_encode",
     "lasso_encode_batch",
     "kkt_violation",
 ]
@@ -59,14 +58,13 @@ __all__ = [
 class Dictionary:
     """Matrix of basis atoms, one atom per column.
 
-    `modality_dims` marks a joint dictionary whose rows split into an audio
-    block followed by a video block. `normalized=False` marks dictionaries
-    whose columns are intentionally not unit norm (the split halves of a
-    joint dictionary).
+    `normalized=False` marks dictionaries whose columns are intentionally
+    not unit norm (the split blocks of a joint dictionary). The atoms are a
+    plain matrix: where a joint dictionary's rows split is kept by
+    multimodal.JointDictionary.
     """
 
     atoms: np.ndarray
-    modality_dims: Optional[Tuple[int, int]] = None
     normalized: bool = True
 
     def __post_init__(self):
@@ -78,16 +76,6 @@ class Dictionary:
                 raise InputError(
                     f"normalized dictionary has a column norm off by {worst:.3e}"
                 )
-        if self.modality_dims is not None:
-            na, nv = self.modality_dims
-            _check_count(na, "modality_dims[0]")
-            _check_count(nv, "modality_dims[1]")
-            if na + nv != atoms.shape[0]:
-                raise InputError(
-                    f"modality_dims {self.modality_dims} do not sum to input dim "
-                    f"{atoms.shape[0]}"
-                )
-            object.__setattr__(self, "modality_dims", (int(na), int(nv)))
         _freeze(self, "atoms", atoms)
 
     @property
@@ -113,11 +101,6 @@ class SparseCode:
     def __post_init__(self):
         _freeze(self, "coeffs", _as_finite(self.coeffs, 1, name="coeffs"))
 
-    @property
-    def support(self) -> Tuple[int, ...]:
-        """Sorted indices of the nonzero coefficients."""
-        return tuple(int(i) for i in np.flatnonzero(self.coeffs))
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -137,8 +120,8 @@ class SolverConfig:
 
 
 def _example_and_code(x, d: Dictionary, y) -> Tuple[np.ndarray, np.ndarray]:
-    """Validate one example and one code (array or SparseCode) against d."""
-    coeffs = y.coeffs if isinstance(y, SparseCode) else _as_finite(y, 1, name="y")
+    """Validate one example and one code array against d."""
+    coeffs = _as_finite(y, 1, name="y")
     if coeffs.shape[0] != d.atom_count:
         raise InputError(
             f"code length {coeffs.shape[0]} does not match atom count {d.atom_count}"
@@ -474,17 +457,6 @@ def _homotopy(X: np.ndarray, atoms: np.ndarray, G: np.ndarray, lam: float,
     return codes, ok
 
 
-def _converged(step, atoms: np.ndarray, R: np.ndarray, Y: np.ndarray,
-               lam: float, tol: float) -> np.ndarray:
-    """The engine's one stopping test, per column of the residuals R (n, m)
-    and codes Y (k, m): the sweep's largest coordinate step `step` (m,) is
-    below tol, and then so is the KKT violation."""
-    ok = step < tol
-    if ok.any():
-        ok[ok] = _kkt(2.0 * (atoms.T @ R[:, ok]), Y[:, ok], lam) < tol
-    return ok
-
-
 def _cd_vector(X: np.ndarray, atoms: np.ndarray, G: np.ndarray, lam: float,
                tol: float, max_iter: int) -> Tuple[np.ndarray, np.ndarray]:
     """Cyclic coordinate descent on every unsettled row of X at once: the
@@ -515,7 +487,9 @@ def _cd_vector(X: np.ndarray, atoms: np.ndarray, G: np.ndarray, lam: float,
                 R -= np.outer(col, delta)
                 Y[j] = new
                 np.maximum(max_delta, np.abs(delta), out=max_delta)
-        done = _converged(max_delta, atoms, R, Y, lam, tol)
+        done = max_delta < tol  # then the KKT test, on those rows only
+        if done.any():
+            done[done] = _kkt(2.0 * (atoms.T @ R[:, done]), Y[:, done], lam) < tol
         if done.any():
             codes[rows[done]] = Y[:, done].T
             converged[rows[done]] = True
@@ -549,15 +523,3 @@ def lasso_encode_batch(
     if rest.size:
         codes[rest], converged[rest] = _cd_vector(X[rest], *args)
     return codes, converged
-
-
-def lasso_encode(x, d: Dictionary, cfg: SolverConfig) -> SparseCode:
-    """Solve the l1 coding problem for one example: the one-row case of
-    lasso_encode_batch. An example whose homotopy path fails (in
-    cfg.max_iter steps) and whose fallback coordinate descent does not
-    converge (in cfg.max_iter sweeps) returns its last descent iterate with
-    converged=False."""
-    x = _as_finite(x, 1, d.input_dim)
-    codes, converged = lasso_encode_batch(x[None, :], d, cfg)
-    return SparseCode(codes[0], converged=bool(converged[0]))
-

@@ -25,16 +25,16 @@ def examples(count: int) -> int:
     return count
 
 
-def unit_column_dictionary(rng, n, k, modality_dims=None) -> Dictionary:
+def unit_column_dictionary(rng, n, k) -> Dictionary:
     """Random dictionary with iid Gaussian columns normalized to unit norm."""
     atoms = rng.standard_normal((n, k))
     atoms /= np.linalg.norm(atoms, axis=0, keepdims=True)
-    return Dictionary(atoms, modality_dims=modality_dims)
+    return Dictionary(atoms)
 
 
 def lasso_objective(x, d: Dictionary, y, lam: float) -> float:
     """Value of ||x - D y||^2 + lam * ||y||_1, with the library's checks on
-    x, the code y (array or SparseCode) and lam."""
+    x, the code array y and lam."""
     _check_real(lam, "lam", ge=0)
     x, coeffs = _example_and_code(x, d, y)
     r = x - d.atoms @ coeffs

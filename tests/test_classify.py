@@ -242,6 +242,10 @@ class TestStratifiedFolds:
         assignment, used, reduced = stratified_folds(labels, 5, seed=0)
         assert used == 3 and reduced
 
+    def test_one_example_class_rejected(self):
+        with pytest.raises(InputError, match=">= 2 examples"):
+            stratified_folds(["a"] * 4 + ["b"], 2, seed=0)
+
     def test_deterministic(self):
         labels = ["a"] * 8 + ["b"] * 8
         a1, *_ = stratified_folds(labels, 4, seed=3)
@@ -293,6 +297,15 @@ class TestCrossValidate:
         for bad in (float("nan"), float("inf"), 0.0):
             with pytest.raises(InputError):
                 cross_validate(X, ["a", "a", "b", "b"], c_grid=[1.0, bad], folds=2)
+
+
+class TestEventModel:
+    def test_mismatched_ids_or_dimensions_rejected(self):
+        two, three = LinearSvm(np.ones(2), 0.0, 1.0), LinearSvm(np.ones(3), 0.0, 1.0)
+        with pytest.raises(InputError, match="one model per event id"):
+            EventModel(("a", "b"), (two,))
+        with pytest.raises(InputError, match="inconsistent feature dimensions"):
+            EventModel(("a", "b"), (two, three))
 
 
 class TestEventModelTraining:

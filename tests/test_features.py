@@ -8,7 +8,6 @@ from mmsparse.features import (
     PooledFeature,
     apply_whitening,
     fit_whitening,
-    max_pool,
     pool_clip,
 )
 
@@ -114,39 +113,6 @@ class TestApplyWhitening:
             apply_whitening(w, np.zeros(5))
 
 
-class TestMaxPool:
-    def test_single_code_identity(self):
-        c = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(max_pool([c]), c)
-
-    def test_elementwise_max(self):
-        got = max_pool([np.array([1.0, -2.0]), np.array([0.0, 3.0])])
-        np.testing.assert_array_equal(got, [1.0, 3.0])
-
-    def test_properties(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            codes = [rng.standard_normal(6) for _ in range(int(rng.integers(1, 6)))]
-            pooled = max_pool(codes)
-            np.testing.assert_array_equal(max_pool([pooled, pooled]), pooled)
-            perm = [codes[i] for i in rng.permutation(len(codes))]
-            np.testing.assert_array_equal(max_pool(perm), pooled)
-            for c in codes:
-                assert np.all(pooled >= c)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            max_pool([])
-
-    def test_merge_associativity(self):
-        rng = np.random.default_rng(9)
-        a = [rng.standard_normal(5) for _ in range(3)]
-        b = [rng.standard_normal(5) for _ in range(4)]
-        lhs = max_pool(a + b)
-        rhs = max_pool([max_pool(a), max_pool(b)])
-        np.testing.assert_array_equal(lhs, rhs)
-
-
 class TestPoolClip:
     def test_single_code(self):
         c = np.array([0.5, -1.0])
@@ -161,12 +127,16 @@ class TestPoolClip:
             for _ in range(5)
         ]
         pf = pool_clip(groups, clip_id="c", modality_tag="joint")
-        flat = max_pool([c for g in groups for c in g])
+        flat = np.max(np.vstack([c for g in groups for c in g]), axis=0)
         np.testing.assert_array_equal(pf.values, flat)
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             pool_clip([], clip_id="c", modality_tag="video")
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(InputError):
+            pool_clip([[np.ones(2)], []], clip_id="c", modality_tag="video")
 
     def test_bad_tag_rejected(self):
         with pytest.raises(InputError):

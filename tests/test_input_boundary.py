@@ -27,7 +27,6 @@ from mmsparse.features import (
     PooledFeature,
     apply_whitening,
     fit_whitening,
-    max_pool,
     pool_clip,
 )
 from mmsparse.gmm import fit_gmm_em, gmm_supervector
@@ -56,7 +55,6 @@ from mmsparse.solvers import (
     SolverConfig,
     SparseCode,
     kkt_violation,
-    lasso_encode,
     lasso_encode_batch,
 )
 from mmsparse.storage import save_matrix
@@ -81,7 +79,6 @@ LEARN = LearnConfig(atom_count=3, lam=0.1, epochs=1)
 CASES = {
     "Dictionary": (D.atoms, lambda a: Dictionary(a)),
     "SparseCode": (y, lambda a: SparseCode(a)),
-    "lasso_encode": (x, lambda a: lasso_encode(a, D, CFG)),
     "lasso_encode_batch": (X, lambda a: lasso_encode_batch(a, D, CFG)),
     "lasso_objective:x": (x, lambda a: lasso_objective(a, D, y, 0.1)),
     "lasso_objective:y": (y, lambda a: lasso_objective(x, D, a, 0.1)),
@@ -100,7 +97,6 @@ CASES = {
     "WhiteningTransform:mean": (WHITEN.mean, lambda a: replace(WHITEN, mean=a)),
     "WhiteningTransform:basis": (WHITEN.basis, lambda a: replace(WHITEN, basis=a)),
     "WhiteningTransform:scales": (WHITEN.scales, lambda a: replace(WHITEN, scales=a)),
-    "max_pool": (Y, lambda a: max_pool(a)),
     "pool_clip": (Y, lambda a: pool_clip([a], "c", "audio")),
     "PooledFeature": (y, lambda a: PooledFeature(a, "c", "audio")),
     "fit_gmm_em": (X, lambda a: fit_gmm_em(a, 2, max_iter=2)),
@@ -162,7 +158,6 @@ def test_bad_labels_raise_input_error(name):
 IDS = ("p", "q", "r", "s")
 FRAMES = [FrameHistogram(np.arange(8.0) ** i, i, i / 25.0) for i in range(4)]
 CLIP = AudioClip(_rng.standard_normal(256), 22050)
-JOINT = Dictionary(np.eye(3), modality_dims=(1, 2))
 
 # name -> (an accepted value, a call that passes its argument in that
 # setting, a value outside the setting's documented range or None when
@@ -173,7 +168,6 @@ SETTINGS = {
     "SolverConfig:max_iter": (10, lambda v: SolverConfig(0.1, max_iter=v), 0),
     "lasso_objective:lam": (0.1, lambda v: lasso_objective(x, D, y, v), -0.1),
     "kkt_violation:lam": (0.1, lambda v: kkt_violation(x, D, y, v), -0.1),
-    "Dictionary:modality_dims": (1, lambda v: Dictionary(np.eye(3), modality_dims=(v, 3 - v)), 0),
     "LinearSvm:bias": (0.0, lambda v: LinearSvm(np.ones(4), v, 1.0), None),
     "LinearSvm:c": (1.0, lambda v: LinearSvm(np.ones(4), 0.0, v), 0.0),
     "train_svm:c": (1.0, lambda v: train_svm(X, LABELS, v), 0.0),
@@ -230,7 +224,8 @@ SETTINGS = {
     "RankedList:relevance": (1.0, lambda v: RankedList(x, [v, 0, 1, 0], IDS), 0.5),
     "ModalityPair:audio_dim": (2, lambda v: ModalityPair(v, 3), 0),
     "ModalityPair:video_dim": (3, lambda v: ModalityPair(2, v), 0),
-    "JointDictionary:lambda_joint": (0.1, lambda v: JointDictionary(JOINT, v), -0.1),
+    "JointDictionary:modality_dims": (
+        1, lambda v: JointDictionary(Dictionary(np.eye(3)), (v, 3 - v)), 0),
     "encode_cross_modal:lambda2": (0.1, lambda v: encode_cross_modal(x, D, v), -0.1),
     "encode_cross_modal:tol": (1e-8, lambda v: encode_cross_modal(x, D, 0.1, tol=v), 0.0),
     "encode_cross_modal:max_iter": (

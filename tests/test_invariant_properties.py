@@ -109,7 +109,7 @@ def test_fused_objective_splits_by_modality(seed, na, nv, k, lambda2):
     (1/N_a)(||x_a - D_a y||^2 + lam'' ||y||_1) + (1/N_v)(same for video)
     with lam' = lambda_joint_of(lam'') and D_a, D_v from split_joint."""
     rng = np.random.default_rng(seed)
-    jd = JointDictionary(unit_column_dictionary(rng, na + nv, k, (na, nv)), lambda_joint=0.0)
+    jd = JointDictionary(unit_column_dictionary(rng, na + nv, k), (na, nv))
     d_a, d_v = split_joint(jd)
     x_a, x_v = rng.standard_normal(na), rng.standard_normal(nv)
     y = rng.standard_normal(k) * (rng.random(k) < 0.5)

@@ -118,10 +118,19 @@ class TestSampleContextFrames:
             assert abs(t * fps - round(t * fps)) <= 1e-9
 
 
+class TestAudioClip:
+    def test_duration_s(self):
+        assert AudioClip(np.zeros(2 * FS + FS // 2), FS).duration_s == 2.5
+
+
 class TestTfAgc:
     def test_silence_in_silence_out(self):
         out = tf_agc(AudioClip(np.zeros(FS), FS))
         assert np.max(np.abs(out.samples)) == 0.0
+
+    def test_empty_clip_passes_through(self):
+        out = tf_agc(AudioClip(np.zeros(0), FS))
+        assert out.samples.size == 0 and out.sample_rate_hz == FS
 
     def test_sinusoid_levels_to_target_rms(self):
         t = np.arange(3 * FS) / FS

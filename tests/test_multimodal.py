@@ -16,14 +16,13 @@ from mmsparse.multimodal import (
     split_joint,
     union_features,
 )
-from mmsparse.solvers import Dictionary, kkt_violation
+from mmsparse.solvers import Dictionary, SolverConfig, kkt_violation, lasso_encode_batch
 
 from helpers import lasso_objective, unit_column_dictionary
 
 
 def random_joint(rng, na, nv, k) -> JointDictionary:
-    d = unit_column_dictionary(rng, na + nv, k, modality_dims=(na, nv))
-    return JointDictionary(inner=d, lambda_joint=0.1)
+    return JointDictionary(unit_column_dictionary(rng, na + nv, k), (na, nv))
 
 
 def fuse_one(x_a, x_v):
@@ -81,7 +80,7 @@ class TestLearnJoint:
         assert min(
             np.linalg.norm(atom - direction), np.linalg.norm(atom + direction)
         ) <= 1e-8
-        assert jd.inner.modality_dims == (4, 2)
+        assert jd.modality_dims == (4, 2)
 
     def test_planted_joint_recovery(self):
         rng = np.random.default_rng(4)
@@ -117,7 +116,7 @@ class TestLearnJoint:
 class TestSplitJoint:
     def test_scalar_blocks(self):
         atoms = np.array([[0.6], [0.8]])
-        jd = JointDictionary(Dictionary(atoms, modality_dims=(1, 1)), lambda_joint=0.0)
+        jd = JointDictionary(Dictionary(atoms), (1, 1))
         da, dv = split_joint(jd)
         np.testing.assert_allclose(da.atoms, [[0.6]])
         np.testing.assert_allclose(dv.atoms, [[0.8]])
@@ -126,9 +125,7 @@ class TestSplitJoint:
     def test_sqrt_scaling(self):
         atom = np.array([0.5, 0.0, 0.0, 0.0, 1.0])
         atom = atom / np.linalg.norm(atom)
-        jd = JointDictionary(
-            Dictionary(atom[:, None], modality_dims=(4, 1)), lambda_joint=0.0
-        )
+        jd = JointDictionary(Dictionary(atom[:, None]), (4, 1))
         da, dv = split_joint(jd)
         np.testing.assert_allclose(da.atoms[:, 0], atom[:4] * 2.0)
         np.testing.assert_allclose(dv.atoms[:, 0], atom[4:])
@@ -142,15 +139,9 @@ class TestSplitJoint:
         )
         np.testing.assert_allclose(refused, jd.inner.atoms, atol=1e-12)
 
-    def test_requires_modality_dims(self):
+    def test_rejects_bad_modality_dims(self):
         with pytest.raises(InputError):
-            JointDictionary(Dictionary(np.eye(3)), lambda_joint=0.1)
-
-    def test_nonfinite_or_negative_lambda_rejected(self):
-        inner = Dictionary(np.eye(3), modality_dims=(1, 2))
-        for lam in (float("nan"), float("inf"), -0.1):
-            with pytest.raises(InputError, match="lambda_joint"):
-                JointDictionary(inner, lambda_joint=lam)
+            JointDictionary(Dictionary(np.eye(3)), (1, 1))
 
 
 class TestEncodeCrossModal:
@@ -158,15 +149,10 @@ class TestEncodeCrossModal:
         rng = np.random.default_rng(6)
         da, _ = split_joint(random_joint(rng, 4, 3, 5))
         y = encode_cross_modal(np.zeros(4), da, 0.3)
-        assert y.support == ()
+        assert not y.coeffs.any()
 
     def test_scalar_least_squares(self):
-        jd = JointDictionary(
-            Dictionary(
-                np.array([[2.0], [1.0]]) / np.sqrt(5.0), modality_dims=(1, 1)
-            ),
-            lambda_joint=0.0,
-        )
+        jd = JointDictionary(Dictionary(np.array([[2.0], [1.0]]) / np.sqrt(5.0)), (1, 1))
         da, _ = split_joint(jd)
         # split audio atom is sqrt(1) * 2/sqrt(5); solve 4 = c * atom.
         y = encode_cross_modal(np.array([4.0]), da, 0.0)
@@ -179,7 +165,29 @@ class TestEncodeCrossModal:
         for d_split, dim in ((da, 5), (dv, 8)):
             x = rng.standard_normal(dim)
             y = encode_cross_modal(x, d_split, 0.2)
-            assert kkt_violation(x, d_split, y, 0.2) <= 1e-8
+            assert kkt_violation(x, d_split, y.coeffs, 0.2) <= 1e-8
+
+    def test_is_a_one_row_batch_call(self):
+        # On split-style atoms, with and without twin atoms 1e-7 apart, and
+        # on budgets that let the path end or send the row to descent, the
+        # code and flag are row 0 of a one-row lasso_encode_batch call.
+        rng = np.random.default_rng(10)
+        flags = set()
+        for twins in (False, True):
+            joint = np.array(unit_column_dictionary(rng, 9, 12).atoms)
+            if twins:
+                twin = joint[:, 0] + 1e-7 * rng.standard_normal(9)
+                joint[:, -1] = twin / np.linalg.norm(twin)
+            for d in split_joint(JointDictionary(Dictionary(joint), (4, 5))):
+                for lam, tol, max_iter in ((0.2, 1e-8, 1000), (0.05, 1e-12, 2)):
+                    x = 2.0 * rng.standard_normal(d.input_dim)
+                    y = encode_cross_modal(x, d, lam, tol, max_iter)
+                    codes, ok = lasso_encode_batch(
+                        x[None, :], d, SolverConfig(lam, tol, max_iter))
+                    assert y.coeffs.tobytes() == codes[0].tobytes()
+                    assert y.converged == ok[0]
+                    flags.add(y.converged)
+        assert flags == {True, False}
 
     def test_nonfinite_or_negative_lambda_rejected(self):
         da, _ = split_joint(random_joint(np.random.default_rng(6), 4, 3, 5))

@@ -1,6 +1,8 @@
 """Solver contracts: the LASSO engine (the homotopy and its coordinate
 descent fallback) and its diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,9 @@ from mmsparse.errors import InputError
 from mmsparse.solvers import (
     Dictionary,
     SolverConfig,
-    SparseCode,
     _homotopy,
     _path,
     kkt_violation,
-    lasso_encode,
     lasso_encode_batch,
 )
 
@@ -38,10 +38,6 @@ class TestDictionaryType:
         d = Dictionary(np.array([[2.0, 0.0], [0.0, 0.5]]), normalized=False)
         assert d.atom_count == 2
 
-    def test_rejects_bad_modality_dims(self):
-        with pytest.raises(InputError):
-            Dictionary(np.eye(3), modality_dims=(1, 1))
-
     def test_rejects_nonfinite(self):
         atoms = np.eye(2)
         atoms[0, 0] = np.nan
@@ -52,13 +48,6 @@ class TestDictionaryType:
         d = identity_dictionary(2)
         with pytest.raises(ValueError):
             d.atoms[0, 0] = 5.0
-
-
-class TestSparseCodeType:
-    def test_from_coeffs_builds_support(self):
-        c = SparseCode(np.array([0.0, -2.0, 3.0]))
-        assert c.support == (1, 2)
-        assert SparseCode(np.zeros(3)).support == ()
 
 
 class TestSolverConfig:
@@ -78,19 +67,21 @@ class TestSolverConfig:
 
 
 class TestLassoEncode:
+    # one-row calls of the engine, read at row 0
+
     def test_zero_input_gives_zero_code(self):
         d = unit_column_dictionary(np.random.default_rng(0), 4, 6)
-        y = lasso_encode(np.zeros(4), d, SolverConfig(lam=0.5))
-        assert y.support == ()
-        assert y.converged
+        (y,), (ok,) = lasso_encode_batch(np.zeros(4)[None, :], d, SolverConfig(lam=0.5))
+        assert not y.any()
+        assert ok
 
     def test_orthonormal_soft_threshold_oracle(self):
         # For D = I the LASSO solution is the soft threshold at lam/2:
         # y_k = sign(x_k) * max(|x_k| - lam/2, 0).
         d = identity_dictionary(2)
-        y = lasso_encode(np.array([1.0, 0.2]), d, SolverConfig(lam=0.5))
-        np.testing.assert_allclose(y.coeffs, [0.75, 0.0], atol=1e-12)
-        assert y.support == (0,)
+        (y,), _ = lasso_encode_batch(np.array([1.0, 0.2])[None, :], d, SolverConfig(lam=0.5))
+        np.testing.assert_allclose(y, [0.75, 0.0], atol=1e-12)
+        assert np.flatnonzero(y).tolist() == [0]
 
     def test_orthonormal_oracle_random(self):
         rng = np.random.default_rng(7)
@@ -102,17 +93,17 @@ class TestLassoEncode:
             lam = float(rng.uniform(0.0, 1.0))
             z = basis.T @ x
             expect = np.sign(z) * np.maximum(np.abs(z) - lam / 2.0, 0.0)
-            y = lasso_encode(x, d, SolverConfig(lam=lam))
-            np.testing.assert_allclose(y.coeffs, expect, atol=1e-8)
+            (y,), _ = lasso_encode_batch(x[None, :], d, SolverConfig(lam=lam))
+            np.testing.assert_allclose(y, expect, atol=1e-8)
 
     def test_matches_proximal_gradient_oracle(self):
         rng = np.random.default_rng(11)
         d = unit_column_dictionary(rng, 6, 10)
         x = rng.standard_normal(6)
         cfg = SolverConfig(lam=0.3)
-        y = lasso_encode(x, d, cfg)
+        (y,), _ = lasso_encode_batch(x[None, :], d, cfg)
         y_ref = proximal_gradient_lasso(x, d.atoms, cfg.lam)
-        obj = lasso_objective_ref(x, d.atoms, y.coeffs, cfg.lam)
+        obj = lasso_objective_ref(x, d.atoms, y, cfg.lam)
         obj_ref = lasso_objective_ref(x, d.atoms, y_ref, cfg.lam)
         assert abs(obj - obj_ref) <= 1e-6
 
@@ -125,8 +116,8 @@ class TestLassoEncode:
             x = rng.standard_normal(n) * float(rng.uniform(0.5, 3.0))
             lam = float(rng.uniform(0.0, 1.0))
             cfg = SolverConfig(lam=lam)
-            y = lasso_encode(x, d, cfg)
-            assert y.converged
+            (y,), (ok,) = lasso_encode_batch(x[None, :], d, cfg)
+            assert ok
             assert kkt_violation(x, d, y, lam) <= cfg.tol
 
     def test_lambda_zero_square_system_is_linear_solve(self):
@@ -134,8 +125,8 @@ class TestLassoEncode:
         a = rng.standard_normal((5, 5)) + 3.0 * np.eye(5)
         d = Dictionary(a / np.linalg.norm(a, axis=0, keepdims=True), normalized=False)
         x = rng.standard_normal(5)
-        y = lasso_encode(x, d, SolverConfig(lam=0.0, max_iter=20000))
-        np.testing.assert_allclose(y.coeffs, np.linalg.solve(d.atoms, x), atol=1e-6)
+        (y,), _ = lasso_encode_batch(x[None, :], d, SolverConfig(lam=0.0, max_iter=20000))
+        np.testing.assert_allclose(y, np.linalg.solve(d.atoms, x), atol=1e-6)
 
     def test_objective_nonincreasing_per_sweep(self):
         rng = np.random.default_rng(13)
@@ -148,9 +139,9 @@ class TestLassoEncode:
             # up to the path length, and from there the exact end point.
             trace = []
             for t in range(1, SolverConfig(lam=0.2).max_iter + 1):
-                y = lasso_encode(x, d, SolverConfig(lam=0.2, max_iter=t))
-                trace.append(lasso_objective_ref(x, d.atoms, y.coeffs, 0.2))
-                if y.converged:
+                (y,), (ok,) = lasso_encode_batch(x[None, :], d, SolverConfig(lam=0.2, max_iter=t))
+                trace.append(lasso_objective_ref(x, d.atoms, y, 0.2))
+                if ok:
                     break
             assert len(trace) > 1
             diffs = np.diff(np.asarray(trace))
@@ -161,29 +152,21 @@ class TestLassoEncode:
         d = unit_column_dictionary(rng, 8, 16)
         x = rng.standard_normal(8)
         cfg = SolverConfig(lam=0.4)
-        a = lasso_encode(x, d, cfg)
-        b = lasso_encode(x, d, cfg)
-        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        (a,), _ = lasso_encode_batch(x[None, :], d, cfg)
+        (b,), _ = lasso_encode_batch(x[None, :], d, cfg)
+        assert a.tobytes() == b.tobytes()
 
     def test_dimension_mismatch(self):
         d = identity_dictionary(3)
         with pytest.raises(InputError):
-            lasso_encode(np.zeros(2), d, SolverConfig(lam=0.1))
+            lasso_encode_batch(np.zeros(2)[None, :], d, SolverConfig(lam=0.1))
 
     def test_nonconvergence_flag(self):
         rng = np.random.default_rng(23)
         d = unit_column_dictionary(rng, 6, 12)
         x = rng.standard_normal(6)
-        y = lasso_encode(x, d, SolverConfig(lam=0.01, tol=1e-12, max_iter=1))
-        assert not y.converged
-
-    def test_support_matches_nonzeros_always(self):
-        rng = np.random.default_rng(29)
-        for _ in range(10):
-            d = unit_column_dictionary(rng, 5, 9)
-            x = rng.standard_normal(5)
-            y = lasso_encode(x, d, SolverConfig(lam=0.3))
-            assert y.support == tuple(np.flatnonzero(y.coeffs))
+        _, (ok,) = lasso_encode_batch(x[None, :], d, SolverConfig(lam=0.01, tol=1e-12, max_iter=1))
+        assert not ok
 
 
 class TestLassoBatch:
@@ -196,8 +179,8 @@ class TestLassoBatch:
             codes, ok = lasso_encode_batch(xs, d, cfg)
             assert ok.all()
             for i in range(m):
-                yi = lasso_encode(xs[i], d, cfg)
-                np.testing.assert_allclose(codes[i], yi.coeffs, atol=1e-9)
+                (yi,), _ = lasso_encode_batch(xs[i][None, :], d, cfg)
+                np.testing.assert_allclose(codes[i], yi, atol=1e-9)
 
     def test_batch_kkt(self):
         rng = np.random.default_rng(37)
@@ -241,9 +224,9 @@ def assert_rows_are_single_solves(xs, d, cfg):
     alike; returns the batch's codes and flags."""
     codes, ok = lasso_encode_batch(xs, d, cfg)
     for i, x in enumerate(xs):
-        yi = lasso_encode(x, d, cfg)
-        assert yi.converged == ok[i]
-        np.testing.assert_allclose(codes[i], yi.coeffs, rtol=0, atol=1e-9)
+        (yi,), (yi_ok,) = lasso_encode_batch(x[None, :], d, cfg)
+        assert yi_ok == ok[i]
+        np.testing.assert_allclose(codes[i], yi, rtol=0, atol=1e-9)
     return codes, ok
 
 
@@ -294,11 +277,11 @@ class TestHomotopyPath:
             active, y_A = _path(c0, G, 0.5 * lam, 1000)
             ref_active, ref_y = path_reference(c0, G, 0.5 * lam, 1000)
             assert active == ref_active and y_A.tobytes() == ref_y.tobytes()
-            code = lasso_encode(x, d, SolverConfig(lam=lam))
-            assert code.converged
-            np.testing.assert_array_equal(code.coeffs[active], y_A)
+            (code,), (ok,) = lasso_encode_batch(x[None, :], d, SolverConfig(lam=lam))
+            assert ok
+            np.testing.assert_array_equal(code[active], y_A)
             assert kkt_violation(x, d, code, lam) <= SolverConfig(lam=lam).tol
-            signs.append(np.sign(code.coeffs[4]))
+            signs.append(np.sign(code[4]))
         assert signs == [-1.0, 0.0, 1.0]
         # 4 events after the first atom, then the end: 3 joins and 1 leave
         assert _path(c0, G, 0.1, 4) is None
@@ -359,6 +342,22 @@ class TestFallbacks:
         codes, ok = assert_rows_are_single_solves(x, identity_dictionary(3), cfg)
         assert ok.all()
         np.testing.assert_allclose(codes[0], [2.75, -1.75, 0.75], rtol=0, atol=1e-15)
+
+
+    def test_zero_norm_atom_is_skipped(self):
+        # atom 2 is all zeros: descent leaves its coefficient at 0 rather
+        # than divide by its zero squared norm
+        rng = np.random.default_rng(47)
+        atoms = rng.standard_normal((4, 5))
+        atoms[:, 2] = 0.0
+        d = Dictionary(atoms, normalized=False)
+        xs = 2.0 * rng.standard_normal((3, 4))
+        cfg = SolverConfig(lam=0.05, max_iter=1)
+        assert homotopy_fails(xs, d, cfg).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes, _ = lasso_encode_batch(xs, d, cfg)
+        assert not codes[:, 2].any()
 
 
 class TestKktViolation:

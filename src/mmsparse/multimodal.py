@@ -65,7 +65,10 @@ class JointDictionary:
     modality_dims: Tuple[int, int]
 
     def __post_init__(self):
-        dims = ModalityPair(*self.modality_dims)
+        try:
+            dims = ModalityPair(*self.modality_dims)
+        except TypeError:  # not iterable, or not two items
+            raise InputError(f"modality_dims must be a pair, got {self.modality_dims!r}") from None
         na, nv = int(dims.audio_dim), int(dims.video_dim)
         if na + nv != self.inner.input_dim:
             raise InputError(f"modality_dims {self.modality_dims} do not sum to "

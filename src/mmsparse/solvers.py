@@ -23,13 +23,13 @@ is solved afresh. The path ends exactly, so the KKT test at tol is a
 postcondition, not a stopping rule.
 
 A call of at least _LOCKSTEP_MIN_ROWS rows (dictionary learning's
-training sets, say) takes the paths in lockstep: each step takes the next
-join, drop or end of every live row from batched products over padded
-active sets, and a finished row's end point is solved as _path solves it.
-Those products round unlike _path's, so a close-call guard sends any row
-whose next event is a near-tie (see _TIE_RTOL) to _path; the codes and flags
-are then _path's, bit for bit. Smaller calls (one clip's rows, one
-example) run _path row by row.
+training sets, say) takes the paths in lockstep: each step takes every
+live row's largest candidate, laid out as in _path, from batched products
+over padded active sets. Those round unlike _path's, so a guard (see
+_TIE_RTOL) sends a row to _path when its top two candidates are near, an
+open join branch's 1 -+ q_j or an active w_j is near 0, or its joining
+pivot is small; the codes and flags are then _path's, bit for bit. Smaller
+calls (one clip's rows, one example) run _path row by row.
 
 A row whose path fails (see lasso_encode_batch) falls back to cyclic
 coordinate descent. The fallback rows run together in NumPy, in fixed
@@ -233,24 +233,25 @@ def _path(c0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int):
 _LOCKSTEP_MIN_ROWS = 16
 
 # The lockstep's close-call guard. Its arithmetic rounds unlike _path's, so
-# a row whose next event is decided within these margins leaves the
-# lockstep and runs _path instead: two candidate values of mu within
-# _TIE_RTOL of the row's starting mu, an eligible 1 -+ q_j within _Q_ATOL of
-# 0, an active w_j within _TIE_RTOL of the row's largest |w|, or a joining
-# pivot below _GUARD_PIVOT_RTOL of G_jj. Such rows are rounding-decided
-# (near-singular pivots, and 0/0 join ratios of twin atoms that dead-atom
-# recycling leaves), and each one that came out unlike _path's would drift
-# a learned dictionary. Over the 1,081,080 lockstep rows of the benchmark's
-# seeds 1-20 on both workloads, the guard sent 0.49% to _path, and no row's
-# code or flag differed from the per-row paths'.
+# a row whose step is decided within these margins leaves the lockstep and
+# runs _path instead. It has four tests: (1) the row's top two candidate
+# values of mu, lam/2 among them, lie within _TIE_RTOL of its starting mu
+# (an exact tie never falls to the lockstep's order); (2) an open join
+# branch's 1 -+ q_j is within _Q_ATOL of 0; (3) an active w_j is within
+# _TIE_RTOL of the row's largest |w|; (4) a joining atom's pivot is below
+# _GUARD_PIVOT_RTOL of G_jj. Such rows are rounding-decided (near-singular
+# pivots, 0/0 join ratios of twin atoms), and one that came out unlike
+# _path's would drift a learned dictionary. Of the 360,360 lockstep rows of
+# one set-up and one round at seeds 1-20 of both workloads, it sent 0.49% to
+# _path; every other row's code and flag were _path's, bit for bit.
 _TIE_RTOL = 1e-9
 _Q_ATOL = 1e-6
 _GUARD_PIVOT_RTOL = 1e-6
 
 
 def _near(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Whether a and b differ by at most _TIE_RTOL * scale; inf - inf and
-    -inf - -inf (no candidate on either side) count as far apart."""
+    """Whether a and b differ by at most _TIE_RTOL * scale; a b of -inf (no
+    runner-up candidate) or inf - inf counts as far apart."""
     with np.errstate(invalid="ignore"):
         return np.abs(a - b) <= _TIE_RTOL * scale
 
@@ -284,6 +285,7 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
     rows = idx = np.arange(m)
     C = C0
     diag = np.diag(G)
+    pm = np.array([1.0, -1.0])[:, None]
     j0 = np.argmax(np.abs(C0), axis=1)
     c_j0 = C0[rows, j0]
     scale = np.abs(c_j0)
@@ -293,10 +295,11 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
     sgn = np.where(c_j0 > 0, 1.0, -1.0)[:, None]
     nact = np.ones(m, dtype=np.int64)
     M = (1.0 / np.where(live, diag[j0], 1.0))[:, None, None]
-    inact = np.ones((m, k), dtype=bool)
-    inact[rows, j0] = False
-    left = np.full(m, -1)
-    left_sign = np.zeros(m)
+    # the join branches (+mu, -mu) open to each atom, and the one (flat over
+    # (2, k), or -1) barred to a just-left atom for one event, as in _path
+    sel = np.ones((m, 2, k), dtype=bool)
+    sel[rows, :, j0] = False
+    blocked = np.full(m, -1)
     finished = np.zeros(m, dtype=bool)
     away = np.zeros(m, dtype=bool)
     sent = []
@@ -322,8 +325,8 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
             break
         if 2 * n_live <= live.size:
             settle(~live)
-            idx, C, scale, act, sgn, nact, M, inact, left, left_sign = (
-                a[live] for a in (idx, C, scale, act, sgn, nact, M, inact, left, left_sign))
+            idx, C, scale, act, sgn, nact, M, sel, blocked = (
+                a[live] for a in (idx, C, scale, act, sgn, nact, M, sel, blocked))
             S = max(int(nact.max()), 1)
             act, sgn, M = act[:, :S], sgn[:, :S], M[:, :S, :S]
             rows = np.arange(n_live)
@@ -331,8 +334,7 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
             finished = np.zeros(n_live, dtype=bool)
             away = np.zeros(n_live, dtype=bool)
         L, S = act.shape
-        pos = np.arange(S)
-        on = pos < nact[:, None]
+        on = np.arange(S) < nact[:, None]
         cA = np.where(on, np.take_along_axis(C, act, 1), 0.0)
         UW = M @ np.stack([cA, sgn], axis=2)
         u, w = UW[..., 0], UW[..., 1]
@@ -346,57 +348,48 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
         p = C - PQ[:L]
         q = PQ[L:]
 
-        # joins: as in _path, the atom that just left may only rejoin with
-        # the other sign
-        can_up, can_down = inact.copy(), inact.copy()
-        gone = left >= 0
-        leave = np.where(gone, left, 0)
-        can_up[rows, leave] &= ~(gone & (left_sign > 0))
-        can_down[rows, leave] &= ~(gone & (left_sign < 0))
-        up_ok, down_ok = can_up & (q < 1.0), can_down & (q > -1.0)
-        up = np.where(up_ok, p, -np.inf) / np.where(up_ok, 1.0 - q, 1.0)
-        down = np.where(down_ok, -p, -np.inf) / np.where(down_ok, 1.0 + q, 1.0)
-        both = np.maximum(up, down)
-        jn = np.argmax(both, axis=1)
-        mu_join = both[rows, jn]
-        join_sign = np.where(up[rows, jn] >= down[rows, jn], 1.0, -1.0)
-        # the runner-up join: the other sign of jn, or the best other atom
-        runner_up = np.minimum(up[rows, jn], down[rows, jn])
-        both[rows, jn] = -np.inf
-        runner_up = np.maximum(runner_up, np.max(both, axis=1))
+        # a step's candidate mu, as in _path: the end lam/2, the leaves by
+        # slot, then the joins at +mu and at -mu by atom
+        cand = np.empty((L, 1 + S + 2 * k))
+        cand[:, 0] = half_lam
         shrinks = sgn * w < 0.0
-        drops = np.where(shrinks, u, -np.inf) / np.where(shrinks, w, 1.0)
-        dr = np.argmax(drops, axis=1)
-        mu_drop = drops[rows, dr]
-        drops[rows, dr] = -np.inf
-        drop_runner_up = np.max(drops, axis=1)
-        event = np.maximum(mu_join, mu_drop)
-        done = event <= half_lam
-        drop = ~done & (mu_drop >= mu_join)
-        join = ~done & ~drop
+        cand[:, 1:S + 1] = np.where(shrinks, u, -np.inf) / np.where(shrinks, w, 1.0)
+        # joins: +-(p_j + mu q_j) reaches mu at +-p_j / (1 -+ q_j), while
+        # 1 -+ q_j > 0
+        den = 1.0 - pm * q[:, None, :]
+        opened = sel & (den > 0.0)
+        cand[:, S + 1:] = (np.where(opened, pm * p[:, None, :], -np.inf)
+                           / np.where(opened, den, 1.0)).reshape(L, 2 * k)
+        # guard test 2, taken here to free den before the copies of M below
+        tight = np.any(sel & (np.abs(den) <= _Q_ATOL), axis=(1, 2))
+        del den
+        f = np.argmax(cand, axis=1)
+        best = cand[rows, f]
+        cand[rows, f] = -np.inf
+        done, join = f == 0, f > S
+        branch, jn = divmod(np.where(join, f - 1 - S, 0), k)
 
         # the joining atom's pivot, as _path's bordered update takes it
         g = np.where(on, G[jn[:, None], act], 0.0)
         b = (M @ g[:, :, None])[..., 0]
         pivot = diag[jn] - np.sum(g * b, axis=1)
 
-        # the guard
-        near = _near(event, half_lam, scale)
-        near |= ~done & _near(mu_join, mu_drop, scale)
-        near |= join & _near(mu_join, runner_up, scale)
-        near |= drop & _near(mu_drop, drop_runner_up, scale)
-        near |= np.any(can_up & (np.abs(1.0 - q) <= _Q_ATOL)
-                       | can_down & (np.abs(1.0 + q) <= _Q_ATOL), axis=1)
+        # the guard: (1) the top two candidates are near, (2) an open
+        # branch's 1 -+ q_j is near 0, (3) an active w_j is near 0, (4) the
+        # joining pivot is small
+        near = _near(best, np.max(cand, axis=1), scale) | tight
         near |= np.any(on & _near(w, 0.0, np.max(np.abs(w), axis=1, keepdims=True)), axis=1)
         near |= join & ~(pivot >= _GUARD_PIVOT_RTOL * diag[jn])
         near &= live
         away |= near
         finished |= done & live & ~near
-        joining = join & live & ~near
-        dropping = drop & live & ~near
         live &= ~(done | near)
+        # an event lifts the bar of the one before
+        r = np.flatnonzero(live & (blocked >= 0))
+        sel.reshape(L, 2 * k)[r, blocked[r]] = True
+        blocked[live] = -1
 
-        jr = np.flatnonzero(joining)
+        jr = np.flatnonzero(live & join)
         if jr.size:
             if np.max(nact[jr]) == S:  # grow the padding by one slot
                 act, sgn, M, b = (_pad_one(a) for a in (act, sgn, M, b))
@@ -405,15 +398,14 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
             grown[i, :, n] = grown[i, n, :] = -bj / piv[:, None]  # 0 past n
             grown[i, n, n] = 1.0 / piv
             M[jr] = grown
-            act[jr, n], sgn[jr, n] = atom, join_sign[jr]
-            inact[jr, atom] = False
-            left[jr] = -1
+            act[jr, n], sgn[jr, n] = atom, pm[branch[jr], 0]
+            sel[jr, :, atom] = False
             nact[jr] += 1
 
-        dk = np.flatnonzero(dropping)
+        dk = np.flatnonzero(live & ~join)
         if dk.size:
             S = act.shape[1]
-            d, i = dr[dk], np.arange(dk.size)
+            d, i = f[dk] - 1, np.arange(dk.size)
             Md = M[dk]
             Md -= Md[i, :, d][:, :, None] * Md[i, d, :][:, None, :] / Md[i, d, d][:, None, None]
             pos = np.arange(S)[None, :]
@@ -425,8 +417,9 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
             atom, sign = act[dk, d], sgn[dk, d]
             act[dk] = np.where(keep, np.take_along_axis(act[dk], src, 1), 0)
             sgn[dk] = np.where(keep, np.take_along_axis(sgn[dk], src, 1), 0.0)
-            inact[dk, atom] = True
-            left[dk], left_sign[dk] = atom, sign
+            sel[dk, :, atom] = True
+            blocked[dk] = np.where(sign < 0, k, 0) + atom
+            sel.reshape(L, 2 * k)[dk, blocked[dk]] = False
             nact[dk] -= 1
     # rows still live here have spent max_iter steps: their paths fail
     settle(~live)

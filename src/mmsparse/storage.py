@@ -85,12 +85,14 @@ def save_record(path, entries: Dict[str, object]) -> None:
     """Write a key-value record, keys sorted for byte determinism; floats
     as repr, other values as str. An entry that load_record would not read
     back unchanged is an InputError, and nothing is written."""
+    if not all(isinstance(key, str) for key in entries):  # or sorted() may fail
+        raise InputError(f"record keys must be strings, got {list(entries)!r}")
     lines = []
     for key in sorted(entries):
         value = entries[key]
         text = repr(value) if isinstance(value, float) else str(value)
         line = f"{key}={text}"
-        if (not isinstance(key, str) or "=" in key or key.startswith("#")
+        if ("=" in key or key.startswith("#")
                 or key != key.strip() or text != text.strip()
                 or line.splitlines() != [line]):
             raise InputError(f"record entry {key!r}: {text!r} would not read back unchanged")

@@ -140,8 +140,10 @@ class TestSplitJoint:
         np.testing.assert_allclose(refused, jd.inner.atoms, atol=1e-12)
 
     def test_rejects_bad_modality_dims(self):
-        with pytest.raises(InputError):
-            JointDictionary(Dictionary(np.eye(3)), (1, 1))
+        # a wrong sum, or not a pair at all
+        for dims in ((1, 1), 3, None, (1, 1, 1)):
+            with pytest.raises(InputError):
+                JointDictionary(Dictionary(np.eye(3)), dims)
 
 
 class TestEncodeCrossModal:

@@ -22,6 +22,19 @@ from mmsparse.solvers import (
 from helpers import examples, path_reference, unit_column_dictionary
 
 
+def odd_atoms(rng, n, k, twins, copies):
+    """n x k unit atoms; with `twins` the last atom is atom 0 moved 1e-7 and
+    renormalized, with `copies` atom 1 is an exact copy of atom 2 (where k
+    has room for them)."""
+    atoms = np.array(unit_column_dictionary(rng, n, k).atoms)
+    if twins and k >= 2:
+        twin = atoms[:, 0] + 1e-7 * rng.standard_normal(n)
+        atoms[:, -1] = twin / np.linalg.norm(twin)
+    if copies and k >= 3:
+        atoms[:, 1] = atoms[:, 2]
+    return atoms
+
+
 @settings(max_examples=examples(40), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -42,12 +55,7 @@ def test_engine_properties(seed, m, n, k, lam, normalized, twins, copies, repeat
     # bit, on either side of the row count that switches it on, and the
     # input is left as it was.
     rng = np.random.default_rng(seed)
-    atoms = np.array(unit_column_dictionary(rng, n, k).atoms)
-    if twins and k >= 2:
-        twin = atoms[:, 0] + 1e-7 * rng.standard_normal(n)
-        atoms[:, -1] = twin / np.linalg.norm(twin)
-    if copies and k >= 3:
-        atoms[:, 1] = atoms[:, 2]
+    atoms = odd_atoms(rng, n, k, twins, copies)
     if not normalized:
         atoms = atoms * rng.uniform(0.2, 3.0, size=k)
     d = Dictionary(atoms, normalized=normalized)
@@ -77,6 +85,37 @@ def test_engine_properties(seed, m, n, k, lam, normalized, twins, copies, repeat
             assert yi_ok == ok[i]
         if ok[i]:
             assert kkt_violation(xs[i], d, codes[i], lam) <= cfg.tol
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(_LOCKSTEP_MIN_ROWS, 170),
+    n=st.integers(1, 10),
+    k=st.integers(1, 16),
+    lam=st.floats(0.05, 2.0),
+    rescaled=st.booleans(),
+    twins=st.booleans(),
+    copies=st.booleans(),
+    max_iter=st.one_of(st.integers(1, 5), st.just(1000)),
+)
+def test_lockstep_matches_paths_on_any_budget(seed, m, n, k, lam, rescaled, twins,
+                                              copies, max_iter):
+    # On a step budget that cuts most paths short (so rows run out of steps
+    # in the lockstep and its arrays are compacted on the way) or one that
+    # lets them end, over unit or rescaled atoms with or without twin and
+    # copied atoms: the lockstep's codes and flags are the per-row paths'
+    # to the bit.
+    rng = np.random.default_rng(seed)
+    atoms = odd_atoms(rng, n, k, twins, copies)
+    if rescaled:
+        atoms = atoms * rng.uniform(0.2, 3.0, size=k)
+    xs = rng.standard_normal((m, n)) * rng.uniform(0.5, 3.0)
+    G = atoms.T @ atoms
+    path_codes, path_ok = _homotopy(xs, atoms, G, lam, 1e-8, max_iter)
+    step_codes, step_ok = _homotopy(xs, atoms, G, lam, 1e-8, max_iter, lockstep=True)
+    assert step_ok.tobytes() == path_ok.tobytes()
+    assert step_codes.tobytes() == path_codes.tobytes()
 
 
 @settings(max_examples=examples(60), deadline=None)
@@ -124,12 +163,7 @@ def test_path_matches_reference(seed, n, k, lam, style, twins, copies, max_iter)
     # reference's steps, so it returns the same active list and the same
     # y_A bytes, or None where the reference does.
     rng = np.random.default_rng(seed)
-    atoms = np.array(unit_column_dictionary(rng, n, k).atoms)
-    if twins and k >= 2:
-        twin = atoms[:, 0] + 1e-7 * rng.standard_normal(n)
-        atoms[:, -1] = twin / np.linalg.norm(twin)
-    if copies and k >= 3:
-        atoms[:, 1] = atoms[:, 2]
+    atoms = odd_atoms(rng, n, k, twins, copies)
     if style == "rescaled":
         atoms = atoms * rng.uniform(0.2, 3.0, size=k)
     elif style == "split":

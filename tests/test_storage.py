@@ -92,6 +92,8 @@ class TestRecords:
             {" k": "v"},
             {"#k": "v"},
             {1: "v"},
+            {1: "a", "b": 2},
+            {None: 1, "a": 2},
         ],
     )
     def test_entry_that_would_not_read_back_rejected(self, tmp_path, entries):

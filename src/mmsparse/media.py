@@ -102,6 +102,8 @@ def detect_keyframes(
     _check_real(alpha, "alpha")
     _check_count(min_colors, "min_colors", ge=0)
     frames = list(frames)
+    if not all(isinstance(f, FrameHistogram) for f in frames):
+        raise InputError("keyframe detection takes FrameHistogram frames")
     if len(frames) < 2:
         raise InputError(f"keyframe detection needs >= 2 frames, got {len(frames)}")
 

@@ -95,8 +95,12 @@ def learn_joint(pairs, cfg: LearnConfig) -> Tuple[JointDictionary, TrainStats]:
     pairs = list(pairs)
     if not pairs:
         raise InputError("learn_joint requires at least one (x_a, x_v) pair")
-    fused = fuse_rows([xa for xa, _ in pairs], [xv for _, xv in pairs])
-    dims = ModalityPair(np.size(pairs[0][0]), np.size(pairs[0][1]))
+    try:
+        audio, video = [xa for xa, _ in pairs], [xv for _, xv in pairs]
+    except (TypeError, ValueError):  # an item that is not two items
+        raise InputError("learn_joint takes (x_a, x_v) pairs") from None
+    fused = fuse_rows(audio, video)
+    dims = ModalityPair(np.size(audio[0]), np.size(video[0]))
     d, stats = learn_dictionary(fused, cfg)
     return JointDictionary(d, (dims.audio_dim, dims.video_dim)), stats
 
@@ -108,6 +112,8 @@ def split_joint(jd: JointDictionary) -> Tuple[Dictionary, Dictionary]:
     reproduces the joint matrix; their columns are not unit norm and the
     returned dictionaries are flagged accordingly.
     """
+    if not isinstance(jd, JointDictionary):
+        raise InputError(f"split_joint takes a JointDictionary, got {type(jd).__name__}")
     na, nv = jd.modality_dims
     atoms = jd.inner.atoms
     audio = Dictionary(atoms[:na, :] * math.sqrt(na), normalized=False)
@@ -136,6 +142,8 @@ def lambda_joint_of(lambda2: float, dims: ModalityPair) -> float:
     """Fused-space l1 weight matching a per-modality weight lambda2:
     lam' = (1/N_a + 1/N_v) * lam''."""
     _check_real(lambda2, "lambda2", ge=0)
+    if not isinstance(dims, ModalityPair):
+        raise InputError(f"dims must be a ModalityPair, got {dims!r}")
     return (1.0 / dims.audio_dim + 1.0 / dims.video_dim) * lambda2
 
 

@@ -25,11 +25,15 @@ postcondition, not a stopping rule.
 A call of at least _LOCKSTEP_MIN_ROWS rows (dictionary learning's
 training sets, say) takes the paths in lockstep: each step takes every
 live row's largest candidate, laid out as in _path, from batched products
-over padded active sets. Those round unlike _path's, so a guard (see
-_TIE_RTOL) sends a row to _path when its top two candidates are near, an
-open join branch's 1 -+ q_j or an active w_j is near 0, or its joining
-pivot is small; the codes and flags are then _path's, bit for bit. Smaller
-calls (one clip's rows, one example) run _path row by row.
+over padded active sets. A row that ends has its atoms and signs copied
+out at that step, compacting the padded arrays only drops rows, and
+after the last step every end point is solved once, as in _path; one
+stack per active-set size rounds as one solve per row does. The steps' products round unlike
+_path's, so a guard (see _TIE_RTOL) sends a row to _path when its top two
+candidates are near, an open join branch's 1 -+ q_j or an active w_j is
+near 0, or its joining pivot is small; the codes and flags are then
+_path's, bit for bit. Smaller calls (one clip's rows, one example) run
+_path row by row.
 
 A row whose path fails (see lasso_encode_batch) falls back to cyclic
 coordinate descent. The fallback rows run together in NumPy, in fixed
@@ -271,13 +275,14 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
 
     Per row it keeps the active atoms in join order, padded to the largest
     active set, with their signs and a padded stack of the bordered inverses
-    M of G_AA; zero padding adds exact zeros to every product. A row that
-    ends or is sent away keeps its state and takes no more events; the
-    arrays drop such rows only once at most half of theirs are live, so
-    they change size a few times per call rather than at every step (each
-    new size of a small array is one more buffer that NumPy caches, and
-    they raised the benchmark's peak memory). A finished row's
-    end point is solved afresh as in _path, on G_AA in join order; rows of
+    M of G_AA; zero padding adds exact zeros to every product. A status per
+    row, in call order, says where it stands; a row that ends has its atoms
+    and signs copied out at that step. Compaction only drops rows no longer
+    live, once at most half of the arrays' rows are, so they change size a
+    few times per call rather than at every step (each new size of a small
+    array is one more buffer that NumPy caches, and they raised the
+    benchmark's peak memory). After the last step each finished row's end
+    point is solved once, afresh as in _path, on G_AA in join order; rows of
     one active-set size are solved as one stack, which rounds as one solve
     per row does.
     """
@@ -290,7 +295,12 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
     c_j0 = C0[rows, j0]
     scale = np.abs(c_j0)
     live = scale > half_lam
-    ok[~live] = True  # mu starts at or below lam/2: the code is 0
+    # each row's status: -2 while live, -1 once sent to _path, else the size
+    # of its final active set (0 when mu starts at or below lam/2)
+    status = np.where(live, -2, 0)
+    # a finished row's active atoms in join order, and their signs
+    ends = np.zeros((m, k), dtype=np.int32)
+    end_sgn = np.zeros((m, k), dtype=np.int8)
     act = j0[:, None]
     sgn = np.where(c_j0 > 0, 1.0, -1.0)[:, None]
     nact = np.ones(m, dtype=np.int64)
@@ -300,39 +310,18 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
     sel = np.ones((m, 2, k), dtype=bool)
     sel[rows, :, j0] = False
     blocked = np.full(m, -1)
-    finished = np.zeros(m, dtype=bool)
-    away = np.zeros(m, dtype=bool)
-    sent = []
-
-    def settle(leaving):
-        """Solve the end points of the leaving rows that finished, and
-        note the ones sent away."""
-        sent.append(idx[leaving & away])
-        done = leaving & finished
-        ok[idx[done & (nact == 0)]] = True
-        for size in range(1, act.shape[1] + 1):
-            r = np.flatnonzero(done & (nact == size))
-            if r.size:
-                a = act[r, :size]
-                end = C[r[:, None], a] - half_lam * sgn[r, :size]
-                sol = np.linalg.solve(G[a[:, :, None], a[:, None, :]], end[:, :, None])
-                codes[idx[r][:, None], a] = sol[:, :, 0]
-                ok[idx[r]] = True
 
     for _ in range(max_iter):
         n_live = np.count_nonzero(live)
         if n_live == 0:
             break
         if 2 * n_live <= live.size:
-            settle(~live)
             idx, C, scale, act, sgn, nact, M, sel, blocked = (
                 a[live] for a in (idx, C, scale, act, sgn, nact, M, sel, blocked))
             S = max(int(nact.max()), 1)
             act, sgn, M = act[:, :S], sgn[:, :S], M[:, :S, :S]
             rows = np.arange(n_live)
             live = np.ones(n_live, dtype=bool)
-            finished = np.zeros(n_live, dtype=bool)
-            away = np.zeros(n_live, dtype=bool)
         L, S = act.shape
         on = np.arange(S) < nact[:, None]
         cA = np.where(on, np.take_along_axis(C, act, 1), 0.0)
@@ -360,7 +349,7 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
         opened = sel & (den > 0.0)
         cand[:, S + 1:] = (np.where(opened, pm * p[:, None, :], -np.inf)
                            / np.where(opened, den, 1.0)).reshape(L, 2 * k)
-        # guard test 2, taken here to free den before the copies of M below
+        # guard test 2, taken here to free den before the updates of M below
         tight = np.any(sel & (np.abs(den) <= _Q_ATOL), axis=(1, 2))
         del den
         f = np.argmax(cand, axis=1)
@@ -381,8 +370,10 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
         near |= np.any(on & _near(w, 0.0, np.max(np.abs(w), axis=1, keepdims=True)), axis=1)
         near |= join & ~(pivot >= _GUARD_PIVOT_RTOL * diag[jn])
         near &= live
-        away |= near
-        finished |= done & live & ~near
+        status[idx[near]] = -1
+        fin = np.flatnonzero(done & live & ~near)
+        out = idx[fin]
+        status[out], ends[out, :S], end_sgn[out, :S] = nact[fin], act[fin], sgn[fin]
         live &= ~(done | near)
         # an event lifts the bar of the one before
         r = np.flatnonzero(live & (blocked >= 0))
@@ -393,11 +384,10 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
         if jr.size:
             if np.max(nact[jr]) == S:  # grow the padding by one slot
                 act, sgn, M, b = (_pad_one(a) for a in (act, sgn, M, b))
-            n, atom, piv, bj, i = nact[jr], jn[jr], pivot[jr], b[jr], np.arange(jr.size)
-            grown = M[jr] + bj[:, :, None] * bj[:, None, :] / piv[:, None, None]
-            grown[i, :, n] = grown[i, n, :] = -bj / piv[:, None]  # 0 past n
-            grown[i, n, n] = 1.0 / piv
-            M[jr] = grown
+            n, atom, piv, bj = nact[jr], jn[jr], pivot[jr], b[jr]
+            M[jr] += bj[:, :, None] * bj[:, None, :] / piv[:, None, None]
+            M[jr, :, n] = M[jr, n, :] = -bj / piv[:, None]  # 0 past n
+            M[jr, n, n] = 1.0 / piv
             act[jr, n], sgn[jr, n] = atom, pm[branch[jr], 0]
             sel[jr, :, atom] = False
             nact[jr] += 1
@@ -405,15 +395,13 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
         dk = np.flatnonzero(live & ~join)
         if dk.size:
             S = act.shape[1]
-            d, i = f[dk] - 1, np.arange(dk.size)
-            Md = M[dk]
-            Md -= Md[i, :, d][:, :, None] * Md[i, d, :][:, None, :] / Md[i, d, d][:, None, None]
+            d = f[dk] - 1
+            M[dk] -= M[dk, :, d][:, :, None] * M[dk, d, :][:, None, :] / M[dk, d, d][:, None, None]
             pos = np.arange(S)[None, :]
             src = np.minimum(pos + (pos >= d[:, None]), S - 1)
             keep = pos < (nact[dk] - 1)[:, None]
-            Md = np.take_along_axis(Md, src[:, :, None], 1)
-            Md = np.take_along_axis(Md, src[:, None, :], 2)
-            M[dk] = Md * (keep[:, :, None] & keep[:, None, :])
+            M[dk] = (M[dk[:, None, None], src[:, :, None], src[:, None, :]]
+                     * (keep[:, :, None] & keep[:, None, :]))
             atom, sign = act[dk, d], sgn[dk, d]
             act[dk] = np.where(keep, np.take_along_axis(act[dk], src, 1), 0)
             sgn[dk] = np.where(keep, np.take_along_axis(sgn[dk], src, 1), 0.0)
@@ -421,9 +409,17 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
             blocked[dk] = np.where(sign < 0, k, 0) + atom
             sel.reshape(L, 2 * k)[dk, blocked[dk]] = False
             nact[dk] -= 1
+
     # rows still live here have spent max_iter steps: their paths fail
-    settle(~live)
-    return np.concatenate(sent)
+    ok[status >= 0] = True
+    for size in range(1, status.max() + 1):
+        r = np.flatnonzero(status == size)
+        if r.size:
+            a = ends[r, :size]
+            end = C0[r[:, None], a] - half_lam * end_sgn[r, :size]
+            sol = np.linalg.solve(G[a[:, :, None], a[:, None, :]], end[:, :, None])
+            codes[r[:, None], a] = sol[:, :, 0]
+    return np.flatnonzero(status == -1)
 
 
 def _homotopy(X: np.ndarray, atoms: np.ndarray, G: np.ndarray, lam: float,

@@ -119,7 +119,10 @@ def load_record(path) -> Dict[str, str]:
 
 
 def file_digest(path) -> str:
-    """Hex sha256 of a file's bytes."""
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
+    """Hex sha256 of a file's bytes; FormatError if it cannot be read."""
+    path = Path(path)
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read file {path}: {exc}") from exc
+    return hashlib.sha256(blob).hexdigest()

@@ -77,6 +77,10 @@ class TestDetectKeyframes:
         with pytest.raises(InputError):
             detect_keyframes([hist(colorful(8, 4))])
 
+    def test_frames_that_are_not_histograms_rejected(self):
+        with pytest.raises(InputError, match="FrameHistogram"):
+            detect_keyframes([1, 2, 3])
+
     def test_histograms_of_different_lengths_rejected(self):
         with pytest.raises(InputError):
             detect_keyframes([hist(colorful(8, 4)), hist(colorful(1, 1))])

@@ -112,6 +112,11 @@ class TestLearnJoint:
         with pytest.raises(InputError):
             learn_joint(pairs, LearnConfig(atom_count=1, lam=0.1))
 
+    def test_item_that_is_not_a_pair_rejected(self):
+        for pairs in ([np.ones(4)], [1.0]):
+            with pytest.raises(InputError, match="pairs"):
+                learn_joint(pairs, LearnConfig(atom_count=1, lam=0.1))
+
 
 class TestSplitJoint:
     def test_scalar_blocks(self):
@@ -144,6 +149,10 @@ class TestSplitJoint:
         for dims in ((1, 1), 3, None, (1, 1, 1)):
             with pytest.raises(InputError):
                 JointDictionary(Dictionary(np.eye(3)), dims)
+
+    def test_rejects_a_plain_dictionary(self):
+        with pytest.raises(InputError, match="JointDictionary"):
+            split_joint(Dictionary(np.eye(2)))
 
 
 class TestEncodeCrossModal:
@@ -215,6 +224,11 @@ class TestLambdaJointOf:
         for lam in (float("nan"), float("inf"), -0.1):
             with pytest.raises(InputError, match="lambda2"):
                 lambda_joint_of(lam, ModalityPair(3, 7))
+
+    def test_dims_not_a_modality_pair_rejected(self):
+        for dims in ((12, 8), None):
+            with pytest.raises(InputError, match="ModalityPair"):
+                lambda_joint_of(3.0, dims)
 
 
 class TestUnionFeatures:

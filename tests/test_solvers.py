@@ -1,6 +1,7 @@
 """Solver contracts: the LASSO engine (the homotopy and its coordinate
 descent fallback) and its diagnostics."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -207,6 +208,23 @@ class TestLassoBatch:
             assert path_ok.all()
             np.testing.assert_array_equal(ok, path_ok)
             assert codes.tobytes() == path_codes.tobytes()
+
+    def test_large_call_peak_memory(self):
+        # The lockstep holds every live row's padded state at once, so the
+        # peak grows with a call's rows: 43.2 MB for this call with NumPy
+        # 2.4. A step's copy of the inverse stack kept alive into the next
+        # step raises it to 47.7 MB.
+        rng = np.random.default_rng(43)
+        d = unit_column_dictionary(rng, 20, 32)
+        xs = rng.standard_normal((4000, 20))
+        tracemalloc.start()
+        try:
+            _, ok = lasso_encode_batch(xs, d, SolverConfig(lam=0.4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok.all()
+        assert peak < 46e6
 
 
 def homotopy_fails(xs, d, cfg):

@@ -117,3 +117,7 @@ class TestDigest:
         p.write_bytes(b"abd")
         assert file_digest(p) != d1
         assert len(d1) == 64
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FormatError, match="cannot read"):
+            file_digest(tmp_path / "missing")

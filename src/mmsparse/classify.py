@@ -12,17 +12,18 @@ dual in beta = y * alpha (Platt's SMO in the form of Fan, Chen & Lin, 2005),
 
 first by deterministic most-violating-pair coordinate updates (each step is
 an exact two-variable minimization, so the dual objective is monotonically
-non-increasing). On near-duplicate inputs these updates can alternate
-between two pairs without closing the gap, so a problem still above its
-tolerance after _PAIR_STEPS of them gets an exact active-set finish:
-Newton steps on the free set within sum(b) = 0, a ratio test at the box,
-and freeing of the worst bound violator. A step budget, max_steps, counts
-both kinds of step, and a model reports converged=False only when that
-budget runs out with the dual's max-violating-pair gap still at or above
-its tolerance. The primal solution is w = X^T b with the bias read off the
-free support vectors. Training is deterministic: pair selection breaks
-ties by lowest index and uses no randomness (the seed parameter only feeds
-fold shuffling in cross-validation).
+non-increasing). These updates converge slowly, and on near-duplicate
+inputs they can alternate between two pairs without closing the gap, so
+they are only a warm start: a problem still above its tolerance after
+_PAIR_STEPS of them gets an exact active-set finish: Newton steps on the
+free set within sum(b) = 0, a ratio test at the box, and freeing of the
+worst bound violator. A step budget, max_steps, counts both kinds of
+step, and a model reports converged=False only when that budget runs out
+with the dual's max-violating-pair gap still at or above its tolerance.
+The primal solution is w = X^T b with the bias read off the free support
+vectors. Training is deterministic: pair selection breaks ties by lowest
+index and uses no randomness (the seed parameter only feeds fold
+shuffling in cross-validation).
 
 Problems that share the Gram matrix train together: the SVMs of every
 event in train_event_models, and of every (c, event) pair of one
@@ -98,11 +99,15 @@ class CvResult:
 
 
 # Pair updates a problem takes before the exact finish, unless max_steps is
-# smaller. Of the 3,840 distinct SVM fits of the benchmark's seeds 1-20 on
-# both workloads, 86 needed more than 1000 pair updates; every other fit
-# came out as the one-problem loop left it, bit for bit, and the 26 that
-# ran out 20,000 pair updates there now converge in the finish.
-_PAIR_STEPS = 1000
+# smaller. They are only a warm start: a lockstep batch runs until its
+# slowest problem stops, and _finish closes a problem in a few steps. A
+# replay of the 60 batches of the benchmark's train rounds and detect
+# set-ups at seeds 1-3 (one BLAS thread, 2-core host, best of 9) took
+# 0.292 s at 50 pair updates, 0.313 s at 100, 0.457 s at 200 and 0.827 s
+# at 1000. At 50 every problem goes to _finish, which more often leaves a
+# problem whose optimal bias is not unique (no free support vector) at a
+# bias other than the one the pair loop reaches.
+_PAIR_STEPS = 100
 
 
 def _smo_batch(
@@ -288,13 +293,13 @@ def train_svm(
 
     Training runs at most `max_steps` steps (default max(200 n, 20000)) on
     the dual in beta = y * alpha, and the weights are X^T beta. The first
-    min(max_steps, 1000) are most-violating-pair updates; a problem whose
-    gap is still at or above `tol` then gets the exact active-set finish
-    for the rest of the steps, each Newton step, ratio test or freed bound
-    counting as one. converged=True means the returned model is the
-    optimizer of the hinge objective up to `tol` in the dual's
-    max-violating-pair gap; converged=False means the steps ran out first,
-    and the model is the last iterate.
+    min(max_steps, _PAIR_STEPS) are most-violating-pair updates; a
+    problem whose gap is still at or above `tol` then gets the exact
+    active-set finish for the rest of the steps, each Newton step, ratio
+    test or freed bound counting as one. converged=True means the returned
+    model is the optimizer of the hinge objective up to `tol` in the
+    dual's max-violating-pair gap; converged=False means the steps ran out
+    first, and the model is the last iterate.
     """
     X = _as_finite(x, 2, name="features", nonempty=1)
     y = _as_labels(labels, X.shape[0])

@@ -7,7 +7,8 @@ that a caller can print a one-line failure and pick its process exit status.
 Every value a caller passes in goes through one helper here, which raises
 InputError: arrays through _as_finite (float64, shape, finite values),
 counts through _check_count (an integer within bounds), real settings
-through _check_real (a finite number within bounds). Array fields of the
+through _check_real (a finite number within bounds), and arguments that
+must be one of the package's types through _check_type. Array fields of the
 frozen dataclasses are stored by _freeze as read-only copies, so that no
 later write to the caller's array reaches them. Checks that relate two
 values stay with the code that knows both. load_matrix checks its payload
@@ -87,6 +88,12 @@ def _check_real(value, name: str, ge=None, gt=None, le=None) -> None:
     bool does not) that is >= ge, > gt and <= le; a None bound is absent."""
     ok = isinstance(value, numbers.Real) and math.isfinite(value)
     _check_scalar(ok, value, name, "a finite number", ge=ge, gt=gt, le=le)
+
+
+def _check_type(value, cls: type, name: str) -> None:
+    """InputError unless value is an instance of cls."""
+    if not isinstance(value, cls):
+        raise InputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def _freeze(instance, field: str, array: np.ndarray) -> None:

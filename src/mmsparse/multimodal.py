@@ -28,7 +28,7 @@ from typing import Tuple
 import numpy as np
 
 from .dictlearn import LearnConfig, TrainStats, learn_dictionary
-from .errors import InputError, _as_finite, _check_count, _check_real
+from .errors import InputError, _as_finite, _check_count, _check_real, _check_type
 from .solvers import Dictionary, SolverConfig, SparseCode, lasso_encode_batch
 
 __all__ = [
@@ -65,6 +65,7 @@ class JointDictionary:
     modality_dims: Tuple[int, int]
 
     def __post_init__(self):
+        _check_type(self.inner, Dictionary, "inner")
         try:
             dims = ModalityPair(*self.modality_dims)
         except TypeError:  # not iterable, or not two items
@@ -112,8 +113,7 @@ def split_joint(jd: JointDictionary) -> Tuple[Dictionary, Dictionary]:
     reproduces the joint matrix; their columns are not unit norm and the
     returned dictionaries are flagged accordingly.
     """
-    if not isinstance(jd, JointDictionary):
-        raise InputError(f"split_joint takes a JointDictionary, got {type(jd).__name__}")
+    _check_type(jd, JointDictionary, "jd")
     na, nv = jd.modality_dims
     atoms = jd.inner.atoms
     audio = Dictionary(atoms[:na, :] * math.sqrt(na), normalized=False)
@@ -133,6 +133,7 @@ def encode_cross_modal(
     a one-row lasso_encode_batch call; converged=False marks a code that
     missed tol (see lasso_encode_batch)."""
     cfg = SolverConfig(lam=lambda2, tol=tol, max_iter=max_iter)
+    _check_type(d_split, Dictionary, "d_split")
     x = _as_finite(x, 1, d_split.input_dim)
     codes, converged = lasso_encode_batch(x[None, :], d_split, cfg)
     return SparseCode(codes[0], converged=bool(converged[0]))
@@ -142,8 +143,7 @@ def lambda_joint_of(lambda2: float, dims: ModalityPair) -> float:
     """Fused-space l1 weight matching a per-modality weight lambda2:
     lam' = (1/N_a + 1/N_v) * lam''."""
     _check_real(lambda2, "lambda2", ge=0)
-    if not isinstance(dims, ModalityPair):
-        raise InputError(f"dims must be a ModalityPair, got {dims!r}")
+    _check_type(dims, ModalityPair, "dims")
     return (1.0 / dims.audio_dim + 1.0 / dims.video_dim) * lambda2
 
 

@@ -47,7 +47,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import InputError, _as_finite, _check_count, _check_real, _freeze
+from .errors import InputError, _as_finite, _check_count, _check_real, _check_type, _freeze
 
 __all__ = [
     "Dictionary",
@@ -125,6 +125,7 @@ class SolverConfig:
 
 def _example_and_code(x, d: Dictionary, y) -> Tuple[np.ndarray, np.ndarray]:
     """Validate one example and one code array against d."""
+    _check_type(d, Dictionary, "d")
     coeffs = _as_finite(y, 1, name="y")
     if coeffs.shape[0] != d.atom_count:
         raise InputError(
@@ -504,6 +505,8 @@ def lasso_encode_batch(
     Returns (codes, converged) with codes of shape (len(xs), atom_count); a
     row flagged False holds its last descent iterate. xs is not modified.
     """
+    _check_type(d, Dictionary, "d")
+    _check_type(cfg, SolverConfig, "cfg")
     X = _as_finite(xs, 2, d.input_dim, "examples")
     G = d.atoms.T @ d.atoms
     args = (d.atoms, G, cfg.lam, cfg.tol, cfg.max_iter)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mmsparse import classify
 from mmsparse.classify import (
     EventModel,
     LinearSvm,
@@ -319,3 +320,36 @@ class TestEventModelTraining:
         assert em.event_ids == ("bike", "dog")
         preds = [predict_event(em, X[i]) for i in range(12)]
         assert preds == labels
+
+    def test_pair_updates_hand_off_to_the_exact_finish(self, monkeypatch):
+        # 42 max-pooled sparse codes (nonnegative), 7 clips of each of 6
+        # events, as in the benchmark: the pair updates are a warm start,
+        # and the exact finish closes most of these problems at the optimum
+        # the alpha-form SMO reaches.
+        rng = np.random.default_rng(0)
+        events = np.repeat(np.arange(6), 7)
+        proto = np.zeros((6, 32))
+        for e in range(6):
+            proto[e, rng.choice(32, size=4, replace=False)] = 1.0
+        X = proto[events] * rng.uniform(0.5, 1.5, (42, 32))
+        X += rng.exponential(0.5, (42, 32)) * (rng.random((42, 32)) < 0.2)
+        labels = [f"e{e}" for e in events]
+        finishes = 0
+        real_finish = classify._finish
+
+        def finish(*args):
+            nonlocal finishes
+            finishes += 1
+            return real_finish(*args)
+
+        monkeypatch.setattr(classify, "_finish", finish)
+        em = train_event_models(X, labels, c=1.0)
+        assert finishes > len(em.models) // 2
+        for event_id, m in zip(em.event_ids, em.models):
+            y = np.where(np.array(labels) == event_id, 1.0, -1.0)
+            w_ref, b_ref, converged = svm_reference(X, y, 1.0)
+            assert converged and m.converged, event_id
+            assert np.all(np.abs(m.weights - w_ref) <= 1e-6 * np.maximum(1.0, np.abs(w_ref)))
+            assert abs(m.bias - b_ref) <= 1e-6 * max(1.0, abs(b_ref))
+            j_ref = svm_objective(LinearSvm(w_ref, b_ref, 1.0), X, y)
+            assert svm_objective(m, X, y) <= j_ref + 1e-12 * abs(j_ref), event_id

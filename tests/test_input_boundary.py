@@ -155,6 +155,25 @@ def test_bad_labels_raise_input_error(name):
         BAD_LABELS[name]()
 
 
+# name -> (an accepted argument, one of the wrong type, a call that passes
+# its argument in that slot)
+WRONG_TYPES = {
+    "lasso_encode_batch:d": (D, D.atoms, lambda v: lasso_encode_batch(X, v, CFG)),
+    "lasso_encode_batch:cfg": (CFG, CFG.lam, lambda v: lasso_encode_batch(X, D, v)),
+    "kkt_violation:d": (D, D.atoms, lambda v: kkt_violation(x, v, y, 0.1)),
+    "JointDictionary:inner": (D, D.atoms, lambda v: JointDictionary(v, (2, 2))),
+    "encode_cross_modal:d_split": (D, D.atoms, lambda v: encode_cross_modal(x, v, 0.1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPES))
+def test_wrong_argument_type_raises_input_error(name):
+    good, bad, call = WRONG_TYPES[name]
+    call(good)  # the accepted argument passes, so only the type is tested
+    with pytest.raises(InputError):
+        call(bad)
+
+
 IDS = ("p", "q", "r", "s")
 FRAMES = [FrameHistogram(np.arange(8.0) ** i, i, i / 25.0) for i in range(4)]
 CLIP = AudioClip(_rng.standard_normal(256), 22050)

@@ -21,9 +21,12 @@ worst bound violator. A step budget, max_steps, counts both kinds of
 step, and a model reports converged=False only when that budget runs out
 with the dual's max-violating-pair gap still at or above its tolerance.
 The primal solution is w = X^T b with the bias read off the free support
-vectors. Training is deterministic: pair selection breaks ties by lowest
-index and uses no randomness (the seed parameter only feeds fold
-shuffling in cross-validation).
+vectors. Where the finish leaves none, every bias in an interval is
+optimal, so the pair updates resume for the steps left and, if they
+close the gap, pick the point of it that they alone would reach.
+Training is deterministic: pair selection breaks ties by lowest index
+and uses no randomness (the seed parameter only feeds fold shuffling in
+cross-validation).
 
 Problems that share the Gram matrix train together: the SVMs of every
 event in train_event_models, and of every (c, event) pair of one
@@ -102,11 +105,12 @@ class CvResult:
 # smaller. They are only a warm start: a lockstep batch runs until its
 # slowest problem stops, and _finish closes a problem in a few steps. A
 # replay of the 60 batches of the benchmark's train rounds and detect
-# set-ups at seeds 1-3 (one BLAS thread, 2-core host, best of 9) took
-# 0.292 s at 50 pair updates, 0.313 s at 100, 0.457 s at 200 and 0.827 s
-# at 1000. At 50 every problem goes to _finish, which more often leaves a
-# problem whose optimal bias is not unique (no free support vector) at a
-# bias other than the one the pair loop reaches.
+# set-ups at seeds 1-3 (24-42 rows a problem; one BLAS thread, 2-core
+# host, best of 9) took 0.30 s at 50 pair updates, 0.33 s at 100, 0.45 s
+# at 200 and 0.78 s at 1000. 50 sends every problem to _finish, whose
+# steps cost O(|F|^3) in the free set F against O(n) for a pair update,
+# for a gain of about 6 ms a train round; the timing covers n <= 42 only,
+# so re-time it on larger training sets.
 _PAIR_STEPS = 100
 
 
@@ -122,19 +126,15 @@ def _smo_batch(
     over one Gram matrix; returns (betas, biases, gaps) by row, where gap is
     the max-violating-pair gap at the returned beta.
 
-    The problems step in lockstep, each by the arithmetic of a one-problem
-    loop, and a problem leaves when its gap falls below tol or no pair can
-    move; its iterates are those of that loop, bit for bit. A problem still
-    at or above tol after min(max_steps, _PAIR_STEPS) pair updates, or
-    stuck, gets _finish for the rest of its max_steps. The bias is the mean
-    of y - K beta over the free set (alpha = y * beta more than 1e-12 c
-    inside (0, c), so that rounding residues at a bound do not count), or
-    the midpoint of the max-violating pair's values when no beta is free.
-
-    Each pair step moves beta_i up and beta_j down by the same t, so
-    sum(beta) stays 0 up to rounding. Neither candidate set can therefore be
-    empty while both classes are present: all beta at hi would sum to
-    c * (#positives) > 0, all at lo to -c * (#negatives) < 0.
+    Every problem takes the pair updates of _pairs. One still at or above
+    tol after min(max_steps, _PAIR_STEPS) of them, or stuck, gets _finish
+    for the rest of its max_steps. Where the finish leaves no beta free, the
+    optimal bias is an interval rather than a point, and the point the rule
+    below reads off depends on the path; such a problem resumes its pair
+    updates for the steps left, and keeps their iterate if they close the
+    gap, so that its bias is the one-problem loop's whatever _PAIR_STEPS is.
+    The bias is the mean of y - K beta over the free set (see _free), or the
+    midpoint of the max-violating pair's values when no beta is free.
     """
     P, n = Y.shape
     cs = np.asarray(cs, dtype=float)
@@ -142,6 +142,41 @@ def _smo_batch(
     hi = np.maximum(0.0, Y * cs[:, None])
     betas = np.zeros((P, n))
     mgs = Y.copy()  # y - K beta, row by row
+    gaps, taken = _pairs(gram, lo, hi, betas, mgs, tol, min(max_steps, _PAIR_STEPS))
+    biases = np.empty(P)
+    for p in range(P):
+        if gaps[p] >= tol and taken[p] < max_steps:
+            beta, mg, gap, used = _finish(
+                gram, Y[p], cs[p], lo[p], hi[p], betas[p], tol, max_steps - taken[p])
+            left = max_steps - taken[p] - used
+            if left > 0 and not _free(beta, Y[p], cs[p]).any():
+                row = slice(p, p + 1)
+                resumed = _pairs(gram, lo[row], hi[row], betas[row], mgs[row], tol, left)[0]
+                if resumed[0] < tol:
+                    beta, mg, gap = betas[p], mgs[p], resumed[0]
+            betas[p], mgs[p], gaps[p] = beta, mg, gap
+        biases[p] = _bias(betas[p], mgs[p], Y[p], cs[p], lo[p], hi[p])
+    return betas, biases, gaps
+
+
+def _pairs(gram, lo, hi, betas, mgs, tol, steps) -> Tuple[np.ndarray, np.ndarray]:
+    """At most `steps` most-violating-pair updates of each row of betas
+    (problems, n) within its box [lo, hi], with mgs = y - K beta by row;
+    betas and mgs are updated in place. Returns (gaps, taken): the
+    max-violating-pair gap of each row where it stopped and the updates it
+    took.
+
+    The rows step in lockstep, each by the arithmetic of a one-problem loop,
+    and a row leaves when its gap falls below tol or no pair can move; its
+    iterates are those of that loop, bit for bit, so a row resumed where it
+    stopped goes on as that loop would have.
+
+    Each pair step moves beta_i up and beta_j down by the same t, so
+    sum(beta) stays 0 up to rounding. Neither candidate set can therefore be
+    empty while both classes are present: all beta at hi would sum to
+    c * (#positives) > 0, all at lo to -c * (#negatives) < 0.
+    """
+    P, n = betas.shape
     gaps = np.empty(P)
     taken = np.zeros(P, dtype=np.int64)
     live = np.arange(P)
@@ -149,8 +184,7 @@ def _smo_batch(
     diag = np.diag(gram).copy()
     cols = np.ascontiguousarray(gram.T)  # row i holds column i of gram
     at = np.arange(P) * n  # flat offset of each live row
-    pairs = min(max_steps, _PAIR_STEPS)
-    for step in range(pairs + 1):
+    for step in range(steps + 1):
         mg_up = np.where(beta < h, mg, -np.inf)
         mg_low = np.where(beta > l, mg, np.inf)
         i = np.argmax(mg_up, axis=1)
@@ -160,7 +194,7 @@ def _smo_batch(
         quad = np.maximum(diag[i] + diag[j] - 2.0 * gram.take(i * n + j), 1e-12)
         bi, bj, hi_i, lo_j = beta.take(fi), beta.take(fj), h.take(fi), l.take(fj)
         t = np.minimum(np.minimum(gap / quad, hi_i - bi), bj - lo_j)
-        stop = (gap < tol) | (t == 0.0) if step < pairs else np.ones(live.size, dtype=bool)
+        stop = (gap < tol) | (t == 0.0) if step < steps else np.ones(live.size, dtype=bool)
         if stop.any():
             out = live[stop]
             betas[out], mgs[out], gaps[out], taken[out] = beta[stop], mg[stop], gap[stop], step
@@ -176,14 +210,7 @@ def _smo_batch(
         # Each column scaled by t before the difference, as y * grad moves
         # in the alpha form, so both forms round alike step for step.
         mg -= cols[i] * t[:, None] - cols[j] * t[:, None]
-
-    biases = np.empty(P)
-    for p in range(P):
-        if gaps[p] >= tol and taken[p] < max_steps:
-            betas[p], mgs[p], gaps[p] = _finish(
-                gram, Y[p], cs[p], lo[p], hi[p], betas[p], tol, max_steps - taken[p])
-        biases[p] = _bias(betas[p], mgs[p], Y[p], cs[p], lo[p], hi[p])
-    return betas, biases, gaps
+    return gaps, taken
 
 
 def _pair_gap(beta, mg, lo, hi) -> Tuple[float, float, float]:
@@ -194,10 +221,16 @@ def _pair_gap(beta, mg, lo, hi) -> Tuple[float, float, float]:
     return top - bottom, top, bottom
 
 
+def _free(beta, y, c) -> np.ndarray:
+    """Where alpha = y * beta lies more than 1e-12 c inside (0, c), so that
+    rounding residues at a bound do not count as free."""
+    alpha = y * beta
+    return (alpha > 1e-12 * c) & (alpha < c * (1.0 - 1e-12))
+
+
 def _bias(beta, mg, y, c, lo, hi) -> float:
     """The bias of one problem, by the rule _smo_batch states."""
-    alpha = y * beta
-    free = (alpha > 1e-12 * c) & (alpha < c * (1.0 - 1e-12))
+    free = _free(beta, y, c)
     if free.any():
         return float(np.mean(mg[free]))
     _, top, bottom = _pair_gap(beta, mg, lo, hi)
@@ -211,7 +244,8 @@ _CURVATURE_RTOL = 1e-12
 
 def _finish(gram, y, c, lo, hi, beta, tol, budget):
     """Exact active-set finish of the dual in beta from a pair-update
-    iterate, in at most `budget` steps; returns (beta, y - K beta, gap).
+    iterate, in at most `budget` steps; returns (beta, y - K beta, gap,
+    steps taken).
 
     beta within 1e-12 c of a bound is snapped onto it, and the rest make up
     the working set F. Each step minimizes over F within sum(p) = 0: the
@@ -233,9 +267,9 @@ def _finish(gram, y, c, lo, hi, beta, tol, budget):
     work = (beta > lo) & (beta < hi)
     mg = y - gram @ beta
     gap = _pair_gap(beta, mg, lo, hi)[0]
-    for _ in range(budget):
-        if gap < tol:
-            break
+    used = 0
+    while used < budget and gap >= tol:
+        used += 1
         f = np.flatnonzero(work)
         p = np.zeros(f.size)
         reach = 1.0
@@ -269,7 +303,7 @@ def _finish(gram, y, c, lo, hi, beta, tol, budget):
         v = int(np.argmax(viol))
         if viol[v] > spread:
             work[v] = True
-    return beta, mg, gap
+    return beta, mg, gap, used
 
 
 def _as_labels(labels, rows: int) -> np.ndarray:
@@ -296,10 +330,12 @@ def train_svm(
     min(max_steps, _PAIR_STEPS) are most-violating-pair updates; a
     problem whose gap is still at or above `tol` then gets the exact
     active-set finish for the rest of the steps, each Newton step, ratio
-    test or freed bound counting as one. converged=True means the returned
-    model is the optimizer of the hinge objective up to `tol` in the
-    dual's max-violating-pair gap; converged=False means the steps ran out
-    first, and the model is the last iterate.
+    test or freed bound counting as one; where the finish leaves no
+    support vector free, the pair updates resume for the steps left (see
+    _smo_batch). converged=True means the returned model is the optimizer
+    of the hinge objective up to `tol` in the dual's max-violating-pair
+    gap; converged=False means the steps ran out first, and the model is
+    the last iterate.
     """
     X = _as_finite(x, 2, name="features", nonempty=1)
     y = _as_labels(labels, X.shape[0])

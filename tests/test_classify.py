@@ -129,6 +129,25 @@ class TestTrainSvm:
             j_ref = svm_objective(LinearSvm(w_ref, b_ref, 1.0), X, y)
             assert svm_objective(m, X, y) <= j_ref + 1e-12 * abs(j_ref), seed
 
+    def test_bias_without_free_support_vector_follows_the_pair_updates(self, monkeypatch):
+        # On this 1-D draw no support vector is free at the optimum, so
+        # every bias in an interval is optimal (0.758 and 0.840 give the
+        # same hinge objective). The exact finish stops at one point of it;
+        # the resumed pair updates reach the alpha-form SMO's, whatever the
+        # allowance before the finish.
+        rng = np.random.default_rng(7161)
+        y = np.where(rng.random(54) < 0.5, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        X = rng.standard_normal((54, 1))
+        w_ref, b_ref, converged = svm_reference(X, y, 1.0)
+        assert converged
+        for allowance in (20, 100, 1000):
+            monkeypatch.setattr(classify, "_PAIR_STEPS", allowance)
+            m = train_svm(X, y, c=1.0)
+            assert m.converged, allowance
+            assert abs(m.weights[0] - w_ref[0]) <= 1e-6, allowance
+            assert abs(m.bias - b_ref) <= 1e-6, allowance
+
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         X, y = blobs(rng)

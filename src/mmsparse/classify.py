@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError, _as_finite, _check_count, _check_real, _freeze
+from .errors import InputError, _as_finite, _check_count, _check_real, _check_type, _freeze
 from .rng import make_rng
 
 __all__ = [
@@ -365,12 +365,14 @@ def _train_all(X: np.ndarray, Y: np.ndarray, cs: Sequence[float], tol: float,
 
 def decision_score(m: LinearSvm, x) -> float:
     """w^T x + b; the sign is the predicted label."""
+    _check_type(m, LinearSvm, "m")
     v = _as_finite(x, 1, m.weights.shape[0])
     return float(m.weights @ v + m.bias)
 
 
 def predict_event(em: EventModel, x) -> str:
     """Event id with the maximal decision score; ties go to the lowest id."""
+    _check_type(em, EventModel, "em")
     best_id = None
     best_score = None
     for event_id, model in sorted(zip(em.event_ids, em.models), key=lambda p: p[0]):

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, _as_finite, _check_count, _check_real, _freeze
+from .errors import InputError, _as_finite, _check_count, _check_real, _check_type, _freeze
 
 __all__ = [
     "WhiteningTransform",
@@ -124,6 +124,7 @@ def fit_whitening(x, d: int, eps: float = 1e-5) -> WhiteningTransform:
 
 def apply_whitening(w: WhiteningTransform, x) -> np.ndarray:
     """Whiten a vector or the rows of a matrix: scales * basis^T (x - mean)."""
+    _check_type(w, WhiteningTransform, "w")
     X = _as_finite(x, 2 if np.ndim(x) == 2 else 1, w.input_dim)
     return ((X - w.mean) @ w.basis) * w.scales
 

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError, _as_finite, _check_count, _check_real, _freeze
+from .errors import InputError, _as_finite, _check_count, _check_real, _check_type, _freeze
 from .features import PooledFeature
 from .rng import make_rng
 
@@ -217,6 +217,7 @@ def gmm_supervector(
     target_sparsity=1.0 pools the full posteriors. The posteriors of all
     inputs come from one batched density evaluation.
     """
+    _check_type(g, GaussianMixture, "g")
     _check_real(target_sparsity, "target_sparsity", ge=0, le=1)
     X = _as_finite(list(vectors), 2, g.dim, "input vectors", nonempty=1)
     log_joint = _log_densities(g.weights, g.means, g.variances, X)

@@ -11,7 +11,10 @@ Audio frames use a Hann window of 1024 samples with hop 512 at 22050 Hz
 (about 46 ms with 50% overlap). Each frame yields 16 cepstral coefficients
 (orthonormal DCT-II of log mel-filterbank energies, 40 triangular filters
 from 0 Hz to Nyquist, log floor 1e-10) plus 16 delta and 16 delta-delta
-coefficients for a 48-dimensional feature row.
+coefficients for a 48-dimensional feature row. The window, the filterbank
+and the leading rows of the DCT-II basis are built once per configuration,
+and a clip's frames are transformed together, a block of frames at a time,
+by one rFFT and two matrix products; the module needs NumPy only.
 """
 
 import math
@@ -20,9 +23,9 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.fft import dct
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InputError, _as_finite, _check_count, _check_real, _freeze
+from .errors import InputError, _as_finite, _check_count, _check_real, _check_type, _freeze
 
 __all__ = [
     "FrameHistogram",
@@ -264,6 +267,7 @@ def tf_agc(
     its largest magnitude. n_bands must be an integer >= 1; attack_s,
     release_s and gain_floor must be finite and > 0.
     """
+    _check_type(clip, AudioClip, "clip")
     _check_count(n_bands, "n_bands")
     _check_real(attack_s, "attack_s", gt=0)
     _check_real(release_s, "release_s", gt=0)
@@ -342,15 +346,33 @@ def delta_coefficients(seq, window: int = 2) -> np.ndarray:
     return out / denom
 
 
+# mfcc_features transforms at most this many frames at once, so that the
+# temporaries of a minutes-long clip stay near 10 MB at the default
+# 1024-sample window instead of growing with the clip.
+_MFCC_BLOCK_FRAMES = 512
+
+
 @lru_cache(maxsize=8)
-def _mfcc_kernels(mel_filters: int, window_len: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The Hann window and the 22050-Hz mel filterbank of one MFCC
-    configuration, built once and returned read-only."""
+def _mfcc_kernels(
+    mel_filters: int, window_len: int, n_coeffs: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hann window, the 22050-Hz mel filterbank and the first n_coeffs
+    rows of the orthonormal DCT-II basis of one MFCC configuration, built
+    once and returned read-only.
+
+    Basis row k holds s_k cos(pi k (2j + 1) / (2M)) for j < M = mel_filters,
+    with s_0 = sqrt(1/M) and s_k = sqrt(2/M); each angle is taken from the
+    exact integer r = k (2j + 1) mod 4M as pi r / (2M), below 2 pi.
+    """
     window = np.hanning(window_len)
     bank = mel_filterbank(mel_filters, window_len, 22050)
-    window.flags.writeable = False
-    bank.flags.writeable = False
-    return window, bank
+    k = np.arange(n_coeffs)[:, None]
+    r = (k * (2 * np.arange(mel_filters) + 1)) % (4 * mel_filters)
+    scale = np.where(k == 0, math.sqrt(1.0 / mel_filters), math.sqrt(2.0 / mel_filters))
+    basis = scale * np.cos(np.pi * r / (2 * mel_filters))
+    for kernel in (window, bank, basis):
+        kernel.flags.writeable = False
+    return window, bank, basis
 
 
 def mfcc_features(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
@@ -358,7 +380,13 @@ def mfcc_features(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray
 
     The clip must already be at 22050 Hz (no implicit resampling) and at
     least one window long; frame count is floor((L - window)/hop) + 1.
+    Frames are strided views of the clip, transformed a block of at most
+    _MFCC_BLOCK_FRAMES at a time: one rFFT, one product with the mel
+    filterbank and, after the log, one product with the cached DCT-II
+    basis.
     """
+    _check_type(clip, AudioClip, "clip")
+    _check_type(cfg, MfccConfig, "cfg")
     if clip.sample_rate_hz != 22050:
         raise InputError(
             f"expected 22050 Hz input, got {clip.sample_rate_hz} (resample upstream)"
@@ -369,16 +397,14 @@ def mfcc_features(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray
             f"clip has {x.size} samples, need at least window_len={cfg.window_len}"
         )
 
-    n_frames = (x.size - cfg.window_len) // cfg.hop + 1
-    window, bank = _mfcc_kernels(cfg.mel_filters, cfg.window_len)
-
-    cepstra = np.empty((n_frames, cfg.n_coeffs))
-    for t in range(n_frames):
-        frame = x[t * cfg.hop : t * cfg.hop + cfg.window_len] * window
-        power = np.abs(np.fft.rfft(frame)) ** 2
-        mel_energy = bank @ power
-        log_energy = np.log(np.maximum(mel_energy, 1e-10))
-        cepstra[t] = dct(log_energy, type=2, norm="ortho")[: cfg.n_coeffs]
+    window, bank, basis = _mfcc_kernels(cfg.mel_filters, cfg.window_len, cfg.n_coeffs)
+    frames = sliding_window_view(x, cfg.window_len)[:: cfg.hop]
+    cepstra = np.empty((frames.shape[0], cfg.n_coeffs))
+    for start in range(0, frames.shape[0], _MFCC_BLOCK_FRAMES):
+        block = slice(start, start + _MFCC_BLOCK_FRAMES)
+        power = np.abs(np.fft.rfft(frames[block] * window)) ** 2
+        log_energy = np.log(np.maximum(power @ bank.T, 1e-10))
+        cepstra[block] = log_energy @ basis.T
 
     d1 = delta_coefficients(cepstra, window=2)
     d2 = delta_coefficients(d1, window=2)

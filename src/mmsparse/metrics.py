@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _as_finite, _freeze
+from .errors import InputError, _as_finite, _check_type, _freeze
 
 __all__ = [
     "RankedList",
@@ -41,6 +41,7 @@ class RankedList:
 
 def average_precision(r: RankedList) -> float:
     """Non-interpolated AP of one ranked list, in [0, 1]."""
+    _check_type(r, RankedList, "r")
     total_relevant = int(r.relevance.sum())
     if total_relevant == 0:
         return 0.0

@@ -11,7 +11,14 @@ from scipy.fft import dct
 
 from mmsparse.classify import LinearSvm, _as_labels
 from mmsparse.errors import _as_finite, _check_real
-from mmsparse.media import AudioClip, MfccConfig, delta_coefficients, mel_filterbank, tf_agc
+from mmsparse.media import (
+    AudioClip,
+    MfccConfig,
+    delta_coefficients,
+    mel_filterbank,
+    mfcc_features,
+    tf_agc,
+)
 from mmsparse.solvers import _PIVOT_RTOL, Dictionary, _example_and_code
 
 
@@ -247,6 +254,20 @@ def mfcc_reference(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarra
         cepstra[t] = dct(log_energy, type=2, norm="ortho")[: cfg.n_coeffs]
     d1 = delta_coefficients(cepstra, window=2)
     return np.hstack([cepstra, d1, delta_coefficients(d1, window=2)])
+
+
+def assert_matches_mfcc_reference(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
+    """mfcc_features(clip, cfg) equals the per-frame oracle to 1e-12 of the
+    larger of 1 and the oracle's peak magnitude; returns the features.
+    Bit equality is not asked: scipy's DCT runs through an FFT, whose
+    rounding a product with the DCT-II basis does not repeat."""
+    ref = mfcc_reference(clip, cfg)
+    got = mfcc_features(clip, cfg)
+    assert got.shape == ref.shape
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    err = float(np.max(np.abs(got - ref)))
+    assert err <= 1e-12 * scale, (err, scale)
+    return got
 
 
 def detect_keyframes_reference(frames, alpha=1.0, min_colors=26):

@@ -37,10 +37,11 @@ from mmsparse.media import (
     delta_coefficients,
     detect_keyframes,
     mel_filterbank,
+    mfcc_features,
     sample_context_frames,
     tf_agc,
 )
-from mmsparse.metrics import RankedList
+from mmsparse.metrics import RankedList, average_precision
 from mmsparse.multimodal import (
     JointDictionary,
     ModalityPair,
@@ -74,6 +75,8 @@ EM = EventModel(event_ids=("a", "b"), models=(SVM, SVM))
 WHITEN = fit_whitening(X, 2)
 GMM, _ = fit_gmm_em(X, 2, max_iter=2)
 LEARN = LearnConfig(atom_count=3, lam=0.1, epochs=1)
+AUDIO = AudioClip(np.sin(np.arange(1024.0)), 22050)  # one MFCC window long
+RANKED = RankedList(x, np.array([1, 0, 1, 0]), ("p", "q", "r", "s"))
 
 # name -> (an accepted array, a call that passes its argument in that slot)
 CASES = {
@@ -163,6 +166,14 @@ WRONG_TYPES = {
     "kkt_violation:d": (D, D.atoms, lambda v: kkt_violation(x, v, y, 0.1)),
     "JointDictionary:inner": (D, D.atoms, lambda v: JointDictionary(v, (2, 2))),
     "encode_cross_modal:d_split": (D, D.atoms, lambda v: encode_cross_modal(x, v, 0.1)),
+    "tf_agc:clip": (AUDIO, AUDIO.samples, lambda v: tf_agc(v)),
+    "mfcc_features:clip": (AUDIO, AUDIO.samples, lambda v: mfcc_features(v)),
+    "mfcc_features:cfg": (MfccConfig(), (1024, 512, 40, 16), lambda v: mfcc_features(AUDIO, v)),
+    "apply_whitening:w": (WHITEN, WHITEN.basis, lambda v: apply_whitening(v, X)),
+    "decision_score:m": (SVM, SVM.weights, lambda v: decision_score(v, x)),
+    "predict_event:em": (EM, EM.models, lambda v: predict_event(v, x)),
+    "gmm_supervector:g": (GMM, GMM.means, lambda v: gmm_supervector(v, X)),
+    "average_precision:r": (RANKED, RANKED.scores, lambda v: average_precision(v)),
 }
 
 

@@ -1,5 +1,7 @@
 """Keyframe detection and the audio feature pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.fft import dct
@@ -21,10 +23,10 @@ from mmsparse.media import (
 )
 
 from helpers import (
+    assert_matches_mfcc_reference,
     assert_matches_tf_agc_reference,
     detect_keyframes_reference,
     mel_filterbank_reference,
-    mfcc_reference,
 )
 
 FS = 22050
@@ -284,6 +286,15 @@ class TestDct:
         v = rng.standard_normal(n)
         np.testing.assert_allclose(basis.T @ (basis @ v), v, atol=1e-10)
 
+    def test_cached_basis_matches_scipy(self):
+        # the MFCC kernels' DCT-II rows are orthonormal and equal scipy's
+        # orthonormal DCT-II of the identity, at every filter count
+        for m in range(1, 81):
+            basis = _mfcc_kernels(m, 64, m)[2]
+            np.testing.assert_allclose(basis @ basis.T, np.eye(m), rtol=0, atol=1e-14)
+            ref = dct(np.eye(m), type=2, norm="ortho", axis=0)
+            np.testing.assert_allclose(basis, ref, rtol=0, atol=1e-14)
+
 
 class TestMfccFeatures:
     def test_zero_signal_rows(self):
@@ -322,8 +333,10 @@ class TestMfccFeatures:
         np.testing.assert_allclose(fy[4:-4], fx[5 : 1 + fy.shape[0] - 4], atol=1e-9)
 
     def test_cached_kernels_match_a_fresh_build(self):
-        # the window and filterbank are built once per configuration; the
-        # features stay byte-identical to a build afresh on every call
+        # the window, filterbank and DCT-II basis are built once per
+        # configuration, read-only and byte-equal to a fresh build; the
+        # features repeat byte for byte and match the per-frame reference.
+        # The third configuration frames the chirp in several blocks.
         rng = np.random.default_rng(7)
         t = np.arange(22050) / FS
         signals = {
@@ -333,14 +346,34 @@ class TestMfccFeatures:
             "noise": rng.uniform(-1, 1, size=9000),
             "impulse": np.eye(1, 3000, 1500)[0],
         }
-        for cfg in (MfccConfig(), MfccConfig(window_len=512, hop=256, mel_filters=20, n_coeffs=13)):
+        configs = (
+            MfccConfig(),
+            MfccConfig(window_len=512, hop=256, mel_filters=20, n_coeffs=13),
+            MfccConfig(window_len=64, hop=8, mel_filters=12, n_coeffs=12),
+        )
+        for cfg in configs:
             for name, x in signals.items():
                 clip = AudioClip(x, FS)
-                got = mfcc_features(clip, cfg)
-                assert got.tobytes() == mfcc_reference(clip, cfg).tobytes(), name
+                got = assert_matches_mfcc_reference(clip, cfg)
                 assert got.tobytes() == mfcc_features(clip, cfg).tobytes(), name
-            window, bank = _mfcc_kernels(cfg.mel_filters, cfg.window_len)
-            assert not window.flags.writeable and not bank.flags.writeable
+            key = (cfg.mel_filters, cfg.window_len, cfg.n_coeffs)
+            for cached, fresh in zip(_mfcc_kernels(*key), _mfcc_kernels.__wrapped__(*key)):
+                assert cached.tobytes() == fresh.tobytes() and not cached.flags.writeable
+
+    def test_long_clip_temporaries_stay_bounded(self):
+        # frames are transformed in blocks, so a minute of audio allocates
+        # about 11 MB of temporaries, where one block of the whole clip
+        # would take about 43 MB
+        clip = AudioClip(np.random.default_rng(8).standard_normal(60 * FS), FS)
+        mfcc_features(clip)  # builds the cached kernels
+        tracemalloc.start()
+        try:
+            feats = mfcc_features(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert feats.shape == (2582, 48)
+        assert peak < 16e6, peak
 
     def test_wrong_rate_rejected(self):
         with pytest.raises(InputError):

@@ -1,10 +1,14 @@
 """Packaging: the source tree holds an importable package, every console
-script that pyproject.toml declares resolves to a callable, and every name
-a module exports in __all__ exists and is reached by the pipeline."""
+script that pyproject.toml declares resolves to a callable, the package
+runs on NumPy alone, and every name a module exports in __all__ exists and
+is reached by the pipeline."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from setuptools import find_packages
@@ -25,6 +29,30 @@ def test_script_targets_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name} names {target}, which is not callable"
+
+
+def test_modules_import_without_scipy():
+    # scipy is a test dependency only: every module imports in a fresh
+    # interpreter where importing scipy fails, and the runtime
+    # dependencies do not name it
+    names = [
+        "mmsparse" if path.stem == "__init__" else f"mmsparse.{path.stem}"
+        for path in sorted((ROOT / "src" / "mmsparse").glob("*.py"))
+    ]
+    code = (
+        "import importlib, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code, *names], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert not [d for d in project["dependencies"] if d.lower().startswith("scipy")]
 
 
 def test_all_exports_resolve():

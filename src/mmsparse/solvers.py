@@ -28,12 +28,12 @@ live row's largest candidate, laid out as in _path, from batched products
 over padded active sets. A row that ends has its atoms and signs copied
 out at that step, compacting the padded arrays only drops rows, and
 after the last step every end point is solved once, as in _path; one
-stack per active-set size rounds as one solve per row does. The steps' products round unlike
-_path's, so a guard (see _TIE_RTOL) sends a row to _path when its top two
-candidates are near, an open join branch's 1 -+ q_j or an active w_j is
-near 0, or its joining pivot is small; the codes and flags are then
-_path's, bit for bit. Smaller calls (one clip's rows, one example) run
-_path row by row.
+stack per active-set size rounds as one solve per row does. The steps'
+products round unlike _path's, yet the codes and flags come out as
+_path's, bit for bit, except where rounding decides a 0/0 join ratio,
+as an exact copy of an atom gives; there either engine may end a row the
+other fails. A row whose joining pivot is small fails, as in _path.
+Smaller calls (one clip's rows, one example) run _path row by row.
 
 A row whose path fails (see lasso_encode_batch) falls back to cyclic
 coordinate descent. The fallback rows run together in NumPy, in fixed
@@ -237,29 +237,6 @@ def _path(c0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int):
 # 1.15, 16 rows 1.17 against 1.04, 144 rows 9.0 against 1.9.
 _LOCKSTEP_MIN_ROWS = 16
 
-# The lockstep's close-call guard. Its arithmetic rounds unlike _path's, so
-# a row whose step is decided within these margins leaves the lockstep and
-# runs _path instead. It has four tests: (1) the row's top two candidate
-# values of mu, lam/2 among them, lie within _TIE_RTOL of its starting mu
-# (an exact tie never falls to the lockstep's order); (2) an open join
-# branch's 1 -+ q_j is within _Q_ATOL of 0; (3) an active w_j is within
-# _TIE_RTOL of the row's largest |w|; (4) a joining atom's pivot is below
-# _GUARD_PIVOT_RTOL of G_jj. Such rows are rounding-decided (near-singular
-# pivots, 0/0 join ratios of twin atoms), and one that came out unlike
-# _path's would drift a learned dictionary. Of the 360,360 lockstep rows of
-# one set-up and one round at seeds 1-20 of both workloads, it sent 0.49% to
-# _path; every other row's code and flag were _path's, bit for bit.
-_TIE_RTOL = 1e-9
-_Q_ATOL = 1e-6
-_GUARD_PIVOT_RTOL = 1e-6
-
-
-def _near(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Whether a and b differ by at most _TIE_RTOL * scale; a b of -inf (no
-    runner-up candidate) or inf - inf counts as far apart."""
-    with np.errstate(invalid="ignore"):
-        return np.abs(a - b) <= _TIE_RTOL * scale
-
 
 def _pad_one(a: np.ndarray) -> np.ndarray:
     """a with one more zero slot at the end of every axis but the first."""
@@ -269,10 +246,11 @@ def _pad_one(a: np.ndarray) -> np.ndarray:
 
 
 def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
-              codes: np.ndarray, ok: np.ndarray) -> np.ndarray:
+              codes: np.ndarray, ok: np.ndarray) -> None:
     """_path for every row of C0 = X D at once, one event per live row per
-    step, writing each finished row's code and flag into codes and ok.
-    Returns the rows the guard sent away, for _path to solve.
+    step, writing each finished row's code and flag into codes and ok. A
+    row fails, its flag left False, where _path's would: its joining pivot
+    is below _PIVOT_RTOL of G_jj, or it spends max_iter steps.
 
     Per row it keeps the active atoms in join order, padded to the largest
     active set, with their signs and a padded stack of the bordered inverses
@@ -294,11 +272,10 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
     pm = np.array([1.0, -1.0])[:, None]
     j0 = np.argmax(np.abs(C0), axis=1)
     c_j0 = C0[rows, j0]
-    scale = np.abs(c_j0)
-    live = scale > half_lam
-    # each row's status: -2 while live, -1 once sent to _path, else the size
+    live = np.abs(c_j0) > half_lam
+    # each row's status: -1 while live or once its path fails, else the size
     # of its final active set (0 when mu starts at or below lam/2)
-    status = np.where(live, -2, 0)
+    status = np.where(live, -1, 0)
     # a finished row's active atoms in join order, and their signs
     ends = np.zeros((m, k), dtype=np.int32)
     end_sgn = np.zeros((m, k), dtype=np.int8)
@@ -317,8 +294,8 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
         if n_live == 0:
             break
         if 2 * n_live <= live.size:
-            idx, C, scale, act, sgn, nact, M, sel, blocked = (
-                a[live] for a in (idx, C, scale, act, sgn, nact, M, sel, blocked))
+            idx, C, act, sgn, nact, M, sel, blocked = (
+                a[live] for a in (idx, C, act, sgn, nact, M, sel, blocked))
             S = max(int(nact.max()), 1)
             act, sgn, M = act[:, :S], sgn[:, :S], M[:, :S, :S]
             rows = np.arange(n_live)
@@ -350,32 +327,22 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
         opened = sel & (den > 0.0)
         cand[:, S + 1:] = (np.where(opened, pm * p[:, None, :], -np.inf)
                            / np.where(opened, den, 1.0)).reshape(L, 2 * k)
-        # guard test 2, taken here to free den before the updates of M below
-        tight = np.any(sel & (np.abs(den) <= _Q_ATOL), axis=(1, 2))
-        del den
+        del den  # freed before the updates of M below
         f = np.argmax(cand, axis=1)
-        best = cand[rows, f]
-        cand[rows, f] = -np.inf
         done, join = f == 0, f > S
         branch, jn = divmod(np.where(join, f - 1 - S, 0), k)
 
-        # the joining atom's pivot, as _path's bordered update takes it
+        # the joining atom's pivot, as _path's bordered update takes it; a
+        # row whose G_AA turns singular fails, as in _path
         g = np.where(on, G[jn[:, None], act], 0.0)
         b = (M @ g[:, :, None])[..., 0]
         pivot = diag[jn] - np.sum(g * b, axis=1)
+        failed = join & ~(pivot >= _PIVOT_RTOL * diag[jn])
 
-        # the guard: (1) the top two candidates are near, (2) an open
-        # branch's 1 -+ q_j is near 0, (3) an active w_j is near 0, (4) the
-        # joining pivot is small
-        near = _near(best, np.max(cand, axis=1), scale) | tight
-        near |= np.any(on & _near(w, 0.0, np.max(np.abs(w), axis=1, keepdims=True)), axis=1)
-        near |= join & ~(pivot >= _GUARD_PIVOT_RTOL * diag[jn])
-        near &= live
-        status[idx[near]] = -1
-        fin = np.flatnonzero(done & live & ~near)
+        fin = np.flatnonzero(done & live)
         out = idx[fin]
         status[out], ends[out, :S], end_sgn[out, :S] = nact[fin], act[fin], sgn[fin]
-        live &= ~(done | near)
+        live &= ~(done | failed)
         # an event lifts the bar of the one before
         r = np.flatnonzero(live & (blocked >= 0))
         sel.reshape(L, 2 * k)[r, blocked[r]] = True
@@ -420,15 +387,13 @@ def _lockstep(C0: np.ndarray, G: np.ndarray, half_lam: float, max_iter: int,
             end = C0[r[:, None], a] - half_lam * end_sgn[r, :size]
             sol = np.linalg.solve(G[a[:, :, None], a[:, None, :]], end[:, :, None])
             codes[r[:, None], a] = sol[:, :, 0]
-    return np.flatnonzero(status == -1)
 
 
 def _homotopy(X: np.ndarray, atoms: np.ndarray, G: np.ndarray, lam: float,
               tol: float, max_iter: int, lockstep: bool = False
               ) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact LASSO codes of the rows of X, one homotopy path per row; with
-    `lockstep`, every row takes its path in _lockstep, and _path runs only
-    on the rows its guard sends away.
+    """Exact LASSO codes of the rows of X, one homotopy path per row: all
+    rows together in _lockstep with `lockstep`, else _path row by row.
 
     A row is flagged False, with a meaningless code, when its path fails
     (see _path) or when its end point does not pass the KKT test at tol,
@@ -437,12 +402,14 @@ def _homotopy(X: np.ndarray, atoms: np.ndarray, G: np.ndarray, lam: float,
     C0 = X @ atoms
     codes = np.zeros((m, k))
     ok = np.zeros(m, dtype=bool)
-    rows = _lockstep(C0, G, 0.5 * lam, max_iter, codes, ok) if lockstep else range(m)
-    for i in rows:
-        end = _path(C0[i], G, 0.5 * lam, max_iter)
-        if end is not None:
-            codes[i, end[0]] = end[1]
-            ok[i] = True
+    if lockstep:
+        _lockstep(C0, G, 0.5 * lam, max_iter, codes, ok)
+    else:
+        for i in range(m):
+            end = _path(C0[i], G, 0.5 * lam, max_iter)
+            if end is not None:
+                codes[i, end[0]] = end[1]
+                ok[i] = True
     ok[ok] = _row_kkt(X[ok], atoms, codes[ok], lam) < tol
     return codes, ok
 

@@ -35,6 +35,29 @@ def odd_atoms(rng, n, k, twins, copies):
     return atoms
 
 
+def assert_engines_agree(xs, atoms, lam, tol, max_iter, copied):
+    """The lockstep's codes and flags are the per-row paths' to the bit,
+    unless an atom has an exact copy (`copied`). Then a join ratio is 0/0
+    and rounding decides the path, so either engine may end a row the other
+    fails: rows both end have the same code bytes, and every row either
+    ends passes the KKT test at tol. Returns the paths' and the lockstep's
+    (codes, ok)."""
+    G = atoms.T @ atoms
+    path = _homotopy(xs, atoms, G, lam, tol, max_iter)
+    step = _homotopy(xs, atoms, G, lam, tol, max_iter, lockstep=True)
+    if not copied:
+        assert step[1].tobytes() == path[1].tobytes()
+        assert step[0].tobytes() == path[0].tobytes()
+        return path, step
+    both = path[1] & step[1]
+    assert step[0][both].tobytes() == path[0][both].tobytes()
+    d = Dictionary(atoms, normalized=False)
+    for codes, ok in (path, step):
+        for x, y in zip(xs[ok], codes[ok]):
+            assert kkt_violation(x, d, y, lam) <= tol
+    return path, step
+
+
 @settings(max_examples=examples(40), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -51,9 +74,9 @@ def test_engine_properties(seed, m, n, k, lam, normalized, twins, copies, repeat
     # Over unit-norm and split-style (unnormalized) atoms, with or without
     # twin atoms 1e-7 apart, an exact copy of an atom and repeated rows:
     # converged rows are optimal, every row is its own one-row solve, the
-    # lockstep homotopy gives the per-row paths' codes and flags to the
-    # bit, on either side of the row count that switches it on, and the
-    # input is left as it was.
+    # lockstep homotopy agrees with the per-row paths (see
+    # assert_engines_agree) on either side of the row count that switches
+    # it on, and the input is left as it was.
     rng = np.random.default_rng(seed)
     atoms = odd_atoms(rng, n, k, twins, copies)
     if not normalized:
@@ -66,20 +89,21 @@ def test_engine_properties(seed, m, n, k, lam, normalized, twins, copies, repeat
     cfg = SolverConfig(lam=lam)
     codes, ok = lasso_encode_batch(xs, d, cfg)
     np.testing.assert_array_equal(xs, before)
+    copied = copies and k >= 3
+    path, step = assert_engines_agree(xs, d.atoms, lam, cfg.tol, cfg.max_iter, copied)
+    # the engine the batch ran
+    run_codes, run_ok = step if m >= _LOCKSTEP_MIN_ROWS else path
+    assert ok[run_ok].all()
+    assert codes[run_ok].tobytes() == run_codes[run_ok].tobytes()
     G = d.atoms.T @ d.atoms
-    path_codes, path_ok = _homotopy(xs, d.atoms, G, lam, cfg.tol, cfg.max_iter)
-    step_codes, step_ok = _homotopy(xs, d.atoms, G, lam, cfg.tol, cfg.max_iter, lockstep=True)
-    np.testing.assert_array_equal(step_ok, path_ok)
-    assert step_codes.tobytes() == path_codes.tobytes()
-    assert ok[path_ok].all()
-    assert codes[path_ok].tobytes() == path_codes[path_ok].tobytes()
     for i in range(m):
         (yi,), (yi_ok,) = lasso_encode_batch(xs[i][None, :], d, cfg)
         # An exact copy of an atom leaves a 0/0 join ratio on the path, so
-        # the path is decided by the rounding of D^T x, which a one-row call
-        # rounds unlike a batch: the row can end on the path in one and fall
-        # to descent in the other. Where both end on the path, they agree.
-        if not (copies and k >= 3) or path_ok[i] and _homotopy(
+        # the path is decided by rounding, which a one-row call (run by
+        # _path) rounds unlike a batch: the row can end on the path in one
+        # and fall to descent in the other. Where both end on the path,
+        # they agree.
+        if not copied or run_ok[i] and _homotopy(
                 xs[i:i + 1], d.atoms, G, lam, cfg.tol, cfg.max_iter)[1][0]:
             np.testing.assert_allclose(codes[i], yi, rtol=0, atol=1e-9)
             assert yi_ok == ok[i]
@@ -104,18 +128,14 @@ def test_lockstep_matches_paths_on_any_budget(seed, m, n, k, lam, rescaled, twin
     # On a step budget that cuts most paths short (so rows run out of steps
     # in the lockstep and its arrays are compacted on the way) or one that
     # lets them end, over unit or rescaled atoms with or without twin and
-    # copied atoms: the lockstep's codes and flags are the per-row paths'
-    # to the bit.
+    # copied atoms: the lockstep agrees with the per-row paths (see
+    # assert_engines_agree).
     rng = np.random.default_rng(seed)
     atoms = odd_atoms(rng, n, k, twins, copies)
     if rescaled:
         atoms = atoms * rng.uniform(0.2, 3.0, size=k)
     xs = rng.standard_normal((m, n)) * rng.uniform(0.5, 3.0)
-    G = atoms.T @ atoms
-    path_codes, path_ok = _homotopy(xs, atoms, G, lam, 1e-8, max_iter)
-    step_codes, step_ok = _homotopy(xs, atoms, G, lam, 1e-8, max_iter, lockstep=True)
-    assert step_ok.tobytes() == path_ok.tobytes()
-    assert step_codes.tobytes() == path_codes.tobytes()
+    assert_engines_agree(xs, atoms, lam, 1e-8, max_iter, copies and k >= 3)
 
 
 @settings(max_examples=examples(60), deadline=None)

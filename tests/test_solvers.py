@@ -12,7 +12,6 @@ from mmsparse.solvers import (
     Dictionary,
     SolverConfig,
     _homotopy,
-    _lockstep,
     _path,
     kkt_violation,
     lasso_encode_batch,
@@ -227,9 +226,10 @@ class TestLassoBatch:
         assert peak < 46e6
 
 
-def homotopy_fails(xs, d, cfg):
+def homotopy_fails(xs, d, cfg, lockstep=False):
     """Rows of xs whose homotopy path the engine gives up on."""
-    _, ok = _homotopy(xs, d.atoms, d.atoms.T @ d.atoms, cfg.lam, cfg.tol, cfg.max_iter)
+    G = d.atoms.T @ d.atoms
+    _, ok = _homotopy(xs, d.atoms, G, cfg.lam, cfg.tol, cfg.max_iter, lockstep=lockstep)
     return ~ok
 
 
@@ -307,65 +307,53 @@ class TestHomotopyPath:
         assert len(_path(c0, G, 0.1, 5)[0]) == 3
 
 
-def assert_guard_sends(X, atoms, lam, rows):
-    """The lockstep's guard sends exactly `rows` of the batch X to _path, and
-    the lockstep's codes and flags are the per-row paths', to the bit."""
-    G = atoms.T @ atoms
-    C0 = X @ atoms
-    m, k = C0.shape
-    sent = _lockstep(C0, G, 0.5 * lam, 1000, np.zeros((m, k)), np.zeros(m, dtype=bool))
-    assert sorted(sent.tolist()) == rows
-    codes, ok = _homotopy(X, atoms, G, lam, 1e-8, 1000)
-    step_codes, step_ok = _homotopy(X, atoms, G, lam, 1e-8, 1000, lockstep=True)
-    np.testing.assert_array_equal(step_ok, ok)
-    assert step_codes.tobytes() == codes.tobytes()
+_E = np.eye(4)
+_THETA = np.arccos(1.0 - 1e-7)
 
 
-class TestLockstepGuard:
-    # Each case trips one of the guard's four tests on one row (two for the
+class TestLockstepCloseCalls:
+    # Close calls whose rounding the lockstep could decide unlike _path:
+    # tied candidates, an open branch's 1 -+ q_j or an active w_j near 0,
+    # and a small joining pivot. Each is set up on one row (two for the
     # ties) of an 18-row batch; the other rows lie in span(e2, e3), away
-    # from the atoms that set it up, and take the lockstep to the end.
-
-    def filler_rows(self, seed):
-        X = np.zeros((18, 4))
-        X[:, 2:] = 2.0 * np.random.default_rng(seed).standard_normal((18, 2))
-        return X
-
-    def test_top_two_candidates_near(self):
+    # from the atoms that set it up. Case: (atoms, lam, filler seed, the
+    # set-up rows by index).
+    CASES = {
         # D = I: row 3's atoms 1 and 2 join at mu = 2 together, and row 7's
         # atom 1 joins at mu = 0.5 = lam/2
-        X = self.filler_rows(1)
-        X[3], X[7] = [3.0, 2.0, 2.0, 0.0], [3.0, 0.5, 0.0, 0.0]
-        assert_guard_sends(X, np.eye(4), 1.0, [3, 7])
-
-    def test_open_branch_q_near_one(self):
+        "top_two_candidates_near": (
+            _E, 1.0, 1, {3: [3.0, 2.0, 2.0, 0.0], 7: [3.0, 0.5, 0.0, 0.0]}),
         # atom 4 is 1e-7 from atom 0 in cosine: with atom 0 active at +1,
         # atom 4's +mu branch has 1 - q = 1e-7
-        e = np.eye(4)
-        theta = np.arccos(1.0 - 1e-7)
-        atoms = np.column_stack([e, np.cos(theta) * e[0] + np.sin(theta) * e[1]])
-        X = self.filler_rows(2)
-        X[5] = [3.0, -1.0, 0.5, 0.2]
-        assert_guard_sends(X, atoms, 0.5, [5])
-
-    def test_active_w_near_zero(self):
+        "open_branch_q_near_one": (
+            np.column_stack([_E, np.cos(_THETA) * _E[0] + np.sin(_THETA) * _E[1]]),
+            0.5, 2, {5: [3.0, -1.0, 0.5, 0.2]}),
         # atom 1 = e0 + e1 joins first and atom 0 = e0 joins it at +1; then
         # w = G_AA^-1 s_A = (0, 1), so y_1 stands still
-        e = np.eye(4)
-        atoms = np.column_stack([e[0], e[0] + e[1], e[2], e[3]])
-        X = self.filler_rows(3)
-        X[9] = [2.0, 1.0, 0.0, 0.0]
-        assert_guard_sends(X, atoms, 0.5, [9])
-
-    def test_joining_pivot_small(self):
+        "active_w_near_zero": (
+            np.column_stack([_E[0], _E[0] + _E[1], _E[2], _E[3]]),
+            0.5, 3, {9: [2.0, 1.0, 0.0, 0.0]}),
         # atom 1 = 2 e0 + 1e-4 e1 joins first; atom 0 = e0, all but in its
-        # span, joins at mu = 3.3e-5 with a pivot of 2.5e-9, while its
-        # 1 -+ q is 0.5 or 1.5
-        e = np.eye(4)
-        atoms = np.column_stack([e[0], 2.0 * e[0] + 1e-4 * e[1], e[2], e[3]])
-        X = self.filler_rows(4)
-        X[11] = [1.0, 1.0, 0.0, 0.0]
-        assert_guard_sends(X, atoms, 2e-5, [11])
+        # span, joins at mu = 3.3e-5 with a pivot of 2.5e-9 of G_jj, above
+        # _PIVOT_RTOL, while its 1 -+ q is 0.5 or 1.5
+        "joining_pivot_small": (
+            np.column_stack([_E[0], 2.0 * _E[0] + 1e-4 * _E[1], _E[2], _E[3]]),
+            2e-5, 4, {11: [1.0, 1.0, 0.0, 0.0]}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_codes_and_flags_are_the_paths(self, case):
+        atoms, lam, seed, rows = self.CASES[case]
+        X = np.zeros((18, 4))
+        X[:, 2:] = 2.0 * np.random.default_rng(seed).standard_normal((18, 2))
+        for i, x in rows.items():
+            X[i] = x
+        G = atoms.T @ atoms
+        codes, ok = _homotopy(X, atoms, G, lam, 1e-8, 1000)
+        step_codes, step_ok = _homotopy(X, atoms, G, lam, 1e-8, 1000, lockstep=True)
+        assert ok.all()
+        np.testing.assert_array_equal(step_ok, ok)
+        assert step_codes.tobytes() == codes.tobytes()
 
 
 class TestFallbacks:
@@ -382,11 +370,16 @@ class TestFallbacks:
         x = 2.0 * rng.standard_normal(3)
         xs = np.stack([x, -x, 0.5 * x, x + 0.1])
         cfg = SolverConfig(lam=0.3)
+        # the 4-row call runs _path; an 18-row call of these rows, rescaled,
+        # runs the lockstep, which fails them at its own pivot test
+        batch = np.concatenate([s * xs for s in (1.0, 0.8, 1.2, 1.5, 0.6)])[:18]
         assert homotopy_fails(xs, d, cfg).all()
-        codes, ok = assert_rows_are_single_solves(xs, d, cfg)
-        assert ok.all()
-        for x, y in zip(xs, codes):
-            assert kkt_violation(x, d, y, cfg.lam) <= cfg.tol
+        assert homotopy_fails(batch, d, cfg, lockstep=True).all()
+        for rows in (xs, batch):
+            codes, ok = assert_rows_are_single_solves(rows, d, cfg)
+            assert ok.all()
+            for x, y in zip(rows, codes):
+                assert kkt_violation(x, d, y, cfg.lam) <= cfg.tol
 
     def test_lambda_zero_more_atoms_than_dims(self):
         rng = np.random.default_rng(0)

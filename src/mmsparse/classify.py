@@ -21,9 +21,9 @@ worst bound violator. A step budget, max_steps, counts both kinds of
 step, and a model reports converged=False only when that budget runs out
 with the dual's max-violating-pair gap still at or above its tolerance.
 The primal solution is w = X^T b with the bias read off the free support
-vectors. Where the finish leaves none, every bias in an interval is
-optimal, so the pair updates resume for the steps left and, if they
-close the gap, pick the point of it that they alone would reach.
+vectors. Where none is free, every bias in an interval is optimal, and
+the one returned is the midpoint of the max-violating pair, which lies in
+that interval once the gap is closed.
 Training is deterministic: pair selection breaks ties by lowest index
 and uses no randomness (the seed parameter only feeds fold shuffling in
 cross-validation).
@@ -46,7 +46,6 @@ __all__ = [
     "LinearSvm",
     "EventModel",
     "CvResult",
-    "train_svm",
     "decision_score",
     "predict_event",
     "train_event_models",
@@ -113,6 +112,8 @@ class CvResult:
 # so re-time it on larger training sets.
 _PAIR_STEPS = 100
 
+_TOL = 1e-9  # the max-violating-pair gap below which an SVM has converged
+
 
 def _smo_batch(
     gram: np.ndarray,
@@ -128,13 +129,11 @@ def _smo_batch(
 
     Every problem takes the pair updates of _pairs. One still at or above
     tol after min(max_steps, _PAIR_STEPS) of them, or stuck, gets _finish
-    for the rest of its max_steps. Where the finish leaves no beta free, the
-    optimal bias is an interval rather than a point, and the point the rule
-    below reads off depends on the path; such a problem resumes its pair
-    updates for the steps left, and keeps their iterate if they close the
-    gap, so that its bias is the one-problem loop's whatever _PAIR_STEPS is.
-    The bias is the mean of y - K beta over the free set (see _free), or the
-    midpoint of the max-violating pair's values when no beta is free.
+    for the rest of its max_steps. The bias is the mean of y - K beta over
+    the free set (see _free), or the midpoint of the max-violating pair's
+    values when no beta is free: then the optimal bias is an interval
+    rather than a point, and the midpoint lies in it once the gap is below
+    tol.
     """
     P, n = Y.shape
     cs = np.asarray(cs, dtype=float)
@@ -146,15 +145,8 @@ def _smo_batch(
     biases = np.empty(P)
     for p in range(P):
         if gaps[p] >= tol and taken[p] < max_steps:
-            beta, mg, gap, used = _finish(
+            betas[p], mgs[p], gaps[p] = _finish(
                 gram, Y[p], cs[p], lo[p], hi[p], betas[p], tol, max_steps - taken[p])
-            left = max_steps - taken[p] - used
-            if left > 0 and not _free(beta, Y[p], cs[p]).any():
-                row = slice(p, p + 1)
-                resumed = _pairs(gram, lo[row], hi[row], betas[row], mgs[row], tol, left)[0]
-                if resumed[0] < tol:
-                    beta, mg, gap = betas[p], mgs[p], resumed[0]
-            betas[p], mgs[p], gaps[p] = beta, mg, gap
         biases[p] = _bias(betas[p], mgs[p], Y[p], cs[p], lo[p], hi[p])
     return betas, biases, gaps
 
@@ -168,8 +160,7 @@ def _pairs(gram, lo, hi, betas, mgs, tol, steps) -> Tuple[np.ndarray, np.ndarray
 
     The rows step in lockstep, each by the arithmetic of a one-problem loop,
     and a row leaves when its gap falls below tol or no pair can move; its
-    iterates are those of that loop, bit for bit, so a row resumed where it
-    stopped goes on as that loop would have.
+    iterates are those of that loop, bit for bit.
 
     Each pair step moves beta_i up and beta_j down by the same t, so
     sum(beta) stays 0 up to rounding. Neither candidate set can therefore be
@@ -244,8 +235,7 @@ _CURVATURE_RTOL = 1e-12
 
 def _finish(gram, y, c, lo, hi, beta, tol, budget):
     """Exact active-set finish of the dual in beta from a pair-update
-    iterate, in at most `budget` steps; returns (beta, y - K beta, gap,
-    steps taken).
+    iterate, in at most `budget` steps; returns (beta, y - K beta, gap).
 
     beta within 1e-12 c of a bound is snapped onto it, and the rest make up
     the working set F. Each step minimizes over F within sum(p) = 0: the
@@ -303,62 +293,26 @@ def _finish(gram, y, c, lo, hi, beta, tol, budget):
         v = int(np.argmax(viol))
         if viol[v] > spread:
             work[v] = True
-    return beta, mg, gap, used
+    return beta, mg, gap
 
 
-def _as_labels(labels, rows: int) -> np.ndarray:
-    """labels as one +1 or -1 per row, or InputError."""
-    y = _as_finite(labels, 1, name="labels")
-    if y.shape[0] != rows:
-        raise InputError(f"{y.shape[0]} labels for {rows} rows")
-    if not np.all(np.abs(y) == 1.0):
-        raise InputError("labels must be +1 or -1")
-    return y
-
-
-def train_svm(
-    x,
-    labels,
-    c: float,
-    tol: float = 1e-9,
-    max_steps: Optional[int] = None,
-) -> LinearSvm:
-    """Train one binary SVM on +/-1 labels.
-
-    Training runs at most `max_steps` steps (default max(200 n, 20000)) on
-    the dual in beta = y * alpha, and the weights are X^T beta. The first
-    min(max_steps, _PAIR_STEPS) are most-violating-pair updates; a
-    problem whose gap is still at or above `tol` then gets the exact
-    active-set finish for the rest of the steps, each Newton step, ratio
-    test or freed bound counting as one; where the finish leaves no
-    support vector free, the pair updates resume for the steps left (see
-    _smo_batch). converged=True means the returned model is the optimizer
-    of the hinge objective up to `tol` in the dual's max-violating-pair
-    gap; converged=False means the steps ran out first, and the model is
-    the last iterate.
-    """
-    X = _as_finite(x, 2, name="features", nonempty=1)
-    y = _as_labels(labels, X.shape[0])
-    return _train_all(X, y[None, :], [c], tol, max_steps)[0]
-
-
-def _train_all(X: np.ndarray, Y: np.ndarray, cs: Sequence[float], tol: float,
+def _train_all(X: np.ndarray, Y: np.ndarray, cs: Sequence[float],
                max_steps: Optional[int] = None) -> List[LinearSvm]:
     """One LinearSvm per row of the +-1 label matrix Y, row p at cost
-    cs[p], all trained by one lockstep SMO over K = X X^T. Checks the
-    settings and that every row of Y holds both classes."""
+    cs[p], all trained by one lockstep SMO over K = X X^T in at most
+    max_steps steps (default max(200 n, 20000)). Checks the settings and
+    that every row of Y holds both classes."""
     for c in cs:
         _check_real(c, "c", gt=0)
-    _check_real(tol, "tol", gt=0)
     if max_steps is not None:
         _check_count(max_steps, "max_steps")
     if not np.all((Y == 1.0).any(axis=1) & (Y == -1.0).any(axis=1)):
         raise InputError("training requires at least one example of each class, "
                          "and 1-vs-all training at least two distinct labels")
     budget = max_steps if max_steps is not None else max(200 * X.shape[0], 20000)
-    betas, biases, gaps = _smo_batch(X @ X.T, Y, np.asarray(cs, dtype=float), tol, budget)
+    betas, biases, gaps = _smo_batch(X @ X.T, Y, np.asarray(cs, dtype=float), _TOL, budget)
     return [
-        LinearSvm(weights=X.T @ beta, bias=float(bias), c=c, converged=bool(gap < tol))
+        LinearSvm(weights=X.T @ beta, bias=float(bias), c=c, converged=bool(gap < _TOL))
         for beta, bias, c, gap in zip(betas, biases, cs, gaps)
     ]
 
@@ -392,19 +346,17 @@ def train_event_models(
     event_labels: Sequence,
     c: float,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> EventModel:
     """1-vs-all training: one binary SVM per distinct event label, with
-    every other label (including any background label) as negatives. Each
-    SVM is train_svm's, and all of them train together in one lockstep
-    SMO. `seed` is accepted and not used: training draws nothing at
-    random."""
+    every other label (including any background label) as negatives, all
+    trained together by _train_all in one lockstep SMO. `seed` is accepted
+    and not used: training draws nothing at random."""
     X = _as_finite(x, 2, name="features", nonempty=1)
     labels = [str(v) for v in event_labels]
     if len(labels) != X.shape[0]:
         raise InputError("one label per feature row required")
     event_ids = sorted(set(labels))
-    models = _train_all(X, _one_vs_all(labels, event_ids), [c] * len(event_ids), tol)
+    models = _train_all(X, _one_vs_all(labels, event_ids), [c] * len(event_ids))
     return EventModel(event_ids=tuple(event_ids), models=tuple(models))
 
 
@@ -468,7 +420,7 @@ def cross_validate(
         event_ids = tuple(sorted(set(fold_labels)))
         Y = _one_vs_all(fold_labels, event_ids)
         models = _train_all(X[train], np.tile(Y, (len(grid), 1)),
-                            [c for c in grid for _ in event_ids], 1e-9)
+                            [c for c in grid for _ in event_ids])
         for g, c in enumerate(grid):
             em = EventModel(event_ids, tuple(models[g * len(event_ids):(g + 1) * len(event_ids)]))
             correct = sum(

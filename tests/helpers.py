@@ -9,8 +9,8 @@ from typing import Tuple
 import numpy as np
 from scipy.fft import dct
 
-from mmsparse.classify import LinearSvm, _as_labels
-from mmsparse.errors import _as_finite, _check_real
+from mmsparse.classify import LinearSvm, _train_all
+from mmsparse.errors import InputError, _as_finite, _check_real
 from mmsparse.media import (
     AudioClip,
     MfccConfig,
@@ -52,6 +52,21 @@ def lasso_objective_ref(x, atoms, y, lam) -> float:
     """Objective ||x - D y||^2 + lam ||y||_1 by direct evaluation."""
     r = x - atoms @ y
     return float(r @ r + lam * np.sum(np.abs(y)))
+
+
+def _as_labels(labels, rows: int) -> np.ndarray:
+    """labels as one +1 or -1 per row, or InputError."""
+    y = _as_finite(labels, 1, name="labels")
+    if y.shape[0] != rows:
+        raise InputError(f"{y.shape[0]} labels for {rows} rows")
+    if not np.all(np.abs(y) == 1.0):
+        raise InputError("labels must be +1 or -1")
+    return y
+
+
+def train_svm(X, y, c, max_steps=None) -> LinearSvm:
+    """One SVM on the +-1 labels y: _train_all on one label row."""
+    return _train_all(X, y[None, :], [c], max_steps)[0]
 
 
 def svm_objective(m: LinearSvm, x, labels) -> float:
@@ -354,8 +369,8 @@ def bias_from_dual_reference(alpha, grad, y, c) -> float:
 
 
 def svm_reference(X, y, c, tol=1e-9, max_steps=None):
-    """(weights, bias, converged) of the alpha-form SMO on the default
-    step budget of train_svm."""
+    """(weights, bias, converged, alpha) of the alpha-form SMO on the
+    default step budget of classify._train_all."""
     budget = max_steps if max_steps is not None else max(200 * X.shape[0], 20000)
     alpha, grad, gap = smo_reference(X @ X.T, y, c, tol, budget)
-    return X.T @ (alpha * y), bias_from_dual_reference(alpha, grad, y, c), gap < tol
+    return X.T @ (alpha * y), bias_from_dual_reference(alpha, grad, y, c), gap < tol, alpha

@@ -19,7 +19,6 @@ from mmsparse.classify import (
     predict_event,
     stratified_folds,
     train_event_models,
-    train_svm,
 )
 from mmsparse.dictlearn import LearnConfig, learn_dictionary
 from mmsparse.errors import InputError
@@ -88,7 +87,6 @@ CASES = {
     "kkt_violation:x": (x, lambda a: kkt_violation(a, D, y, 0.1)),
     "kkt_violation:y": (y, lambda a: kkt_violation(x, D, a, 0.1)),
     "LinearSvm": (np.ones(4), lambda a: LinearSvm(weights=a, bias=0.0, c=1.0)),
-    "train_svm": (X, lambda a: train_svm(a, LABELS, 1.0)),
     "svm_objective": (X, lambda a: svm_objective(SVM, a, LABELS)),
     "decision_score": (x, lambda a: decision_score(SVM, a)),
     "predict_event": (x, lambda a: predict_event(EM, a)),
@@ -140,9 +138,6 @@ def test_bad_array_raises_input_error(name, fault):
 # name -> a call with labels that are not one +1 or -1 (or one event
 # name) per feature row
 BAD_LABELS = {
-    "train_svm:count": lambda: train_svm(X, LABELS[:-1], 1.0),
-    "train_svm:value": lambda: train_svm(X, 2.0 * LABELS, 1.0),
-    "train_svm:text": lambda: train_svm(X, ["a"] * 6, 1.0),
     "svm_objective:count": lambda: svm_objective(SVM, X, [1.0]),
     "svm_objective:value": lambda: svm_objective(SVM, X, [2.0] * 6),
     "svm_objective:text": lambda: svm_objective(SVM, X, ["a"] * 6),
@@ -200,9 +195,6 @@ SETTINGS = {
     "kkt_violation:lam": (0.1, lambda v: kkt_violation(x, D, y, v), -0.1),
     "LinearSvm:bias": (0.0, lambda v: LinearSvm(np.ones(4), v, 1.0), None),
     "LinearSvm:c": (1.0, lambda v: LinearSvm(np.ones(4), 0.0, v), 0.0),
-    "train_svm:c": (1.0, lambda v: train_svm(X, LABELS, v), 0.0),
-    "train_svm:tol": (1e-9, lambda v: train_svm(X, LABELS, 1.0, tol=v), 0.0),
-    "train_svm:max_steps": (100, lambda v: train_svm(X, LABELS, 1.0, max_steps=v), 0),
     "train_event_models:c": (1.0, lambda v: train_event_models(X, EVENTS, v), 0.0),
     "stratified_folds:folds": (2, lambda v: stratified_folds(EVENTS, v, 0), 1),
     "stratified_folds:seed": (0, lambda v: stratified_folds(EVENTS, 2, v), None),
